@@ -509,7 +509,7 @@ class CommitUnit:
                 candidate.install_word(word_index(address), value)
         if page_digest(candidate) != expected:
             return False
-        page.words[:] = candidate.words
+        page.writable_words()[:] = candidate.words
         page.present_mask = candidate.present_mask
         # Management-path fetch: page bytes on the wire, an install on
         # the commit core.

@@ -101,6 +101,9 @@ def payload_checksum(payload: Any) -> int:
 
 def page_digest(page: Any) -> int:
     """CRC32 over one page's present ``(index, value)`` words."""
+    if not page.present_mask:
+        # The same bytes the loop below builds for an empty page.
+        return zlib.crc32(b"P%d[]" % page.number)
     parts: list = [b"P%d[" % page.number]
     for index, value in page.items():
         _encode(index, parts)

@@ -39,7 +39,7 @@ from repro.memory.layout import (
     WORDS_PER_PAGE,
     check_word_aligned,
 )
-from repro.memory.page import Page
+from repro.memory.page import ZERO_WORDS, Page
 from repro.obs.tracer import CAT_PAGE_FAULT, PID_RUNTIME
 
 __all__ = ["AddressSpace"]
@@ -112,7 +112,10 @@ class AddressSpace:
         page = self.pages.get(address >> PAGE_SHIFT)
         if page is not None and not address & WORD_MASK and address >= 0:
             index = (address & PAGE_MASK) >> WORD_SHIFT
-            page.words[index] = value
+            array = page.words
+            if array is ZERO_WORDS:
+                array = page.words = [0] * WORDS_PER_PAGE
+            array[index] = value
             if not page.dirty_mask:
                 self._dirty_pages += 1
             bit = 1 << index
@@ -213,7 +216,7 @@ class AddressSpace:
             take = WORDS_PER_PAGE - index
             if take > count - offset:
                 take = count - offset
-            page.words[index:index + take] = values[offset:offset + take]
+            page.writable_words()[index:index + take] = values[offset:offset + take]
             if not page.dirty_mask:
                 self._dirty_pages += 1
             run_mask = ((1 << take) - 1) << index
@@ -366,7 +369,10 @@ class AddressSpace:
             if page is None:
                 page = self.get_page(page_no)
             index = (address & PAGE_MASK) >> WORD_SHIFT
-            page.words[index] = value
+            array = page.words
+            if array is ZERO_WORDS:
+                array = page.words = [0] * WORDS_PER_PAGE
+            array[index] = value
             if not page.dirty_mask:
                 self._dirty_pages += 1
             bit = 1 << index
@@ -430,7 +436,10 @@ class AddressSpace:
                 if page is None:
                     page = self.get_page(page_no)
                 index = (address & PAGE_MASK) >> WORD_SHIFT
-                page.words[index] = entry[2]
+                array = page.words
+                if array is ZERO_WORDS:
+                    array = page.words = [0] * WORDS_PER_PAGE
+                array[index] = entry[2]
                 if not page.dirty_mask:
                     self._dirty_pages += 1
                 bit = 1 << index

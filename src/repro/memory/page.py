@@ -1,8 +1,7 @@
 """Memory pages.
 
 A :class:`Page` stores its words in a fixed-size flat array (one slot
-per word, zero-filled for never-written words, mirroring demand-zeroed
-pages) plus two word-granular bitmasks:
+per word) plus two word-granular bitmasks:
 
 * ``present_mask`` — words explicitly written or installed.  This is
   the page's *population*: :meth:`items` iterates it, and the
@@ -12,11 +11,24 @@ pages) plus two word-granular bitmasks:
   (:meth:`~repro.memory.address_space.AddressSpace.dirty_words`) reads
   it directly instead of diffing dictionaries.
 
+Pages are demand-zero.  Every page that was never written shares one
+read-only array, :data:`ZERO_WORDS`, the way an OS backs untouched
+memory with its shared zero page; a page gets a private list only on
+its first write, and :meth:`Page.snapshot` of an unwritten page shares
+the zero array instead of copying it.  Read-only inputs touched once
+(crc32's files: most pages a COA run materializes in the master and
+ships to a worker) therefore cost no word storage at all.  Every store
+into ``words`` first swaps in a private list with one ``words is
+ZERO_WORDS`` check (:meth:`Page.writable_words`, or inlined on the hot
+paths of :class:`~repro.memory.address_space.AddressSpace`).  The zero
+array is a tuple, so a store that skips the check raises ``TypeError``
+instead of writing into every empty page at once.
+
 Word values stay boxed Python objects (workloads store ints, floats and
-strings), so the backing array is a plain list — a contiguous C array
-of object pointers — rather than ``array('q')``/numpy, which would
-coerce values and change committed results.  The flat layout is what
-makes block reads/writes single slice operations.
+strings), so a private array is a plain list — a contiguous C array of
+object pointers — rather than ``array('q')``/numpy, which would coerce
+values and change committed results.  The flat layout is what makes
+block reads/writes single slice operations.
 
 Pages carry a monotonically increasing ``version`` so Copy-On-Access
 snapshots can be identified (Figure 3(b) shows workers holding different
@@ -32,7 +44,11 @@ from typing import Dict, Iterator, Tuple
 
 from repro.memory.layout import WORDS_PER_PAGE
 
-__all__ = ["Page"]
+__all__ = ["Page", "ZERO_WORDS"]
+
+#: The word array shared by every never-written page.  Read-only: a
+#: page swaps in a private list before its first store.
+ZERO_WORDS: tuple = (0,) * WORDS_PER_PAGE
 
 
 class Page:
@@ -42,15 +58,16 @@ class Page:
 
     def __init__(self, number: int, words: Dict[int, object] | None = None, version: int = 0) -> None:
         self.number = number
-        #: Flat word array, one slot per word (zero = never written).
-        self.words: list = [0] * WORDS_PER_PAGE
+        #: Flat word array, one slot per word (zero = never written);
+        #: :data:`ZERO_WORDS` until the first store.
+        self.words: list | tuple = ZERO_WORDS
         self.version = version
         self.present_mask = 0
         self.dirty_mask = 0
         #: AddressSpace this page is installed in (dirty accounting).
         self.owner = None
         if words:
-            array = self.words
+            array = self.words = [0] * WORDS_PER_PAGE
             mask = 0
             for index, value in words.items():
                 self._check_index(index)
@@ -63,6 +80,14 @@ class Page:
         """True if any word was written since installation."""
         return self.dirty_mask != 0
 
+    def writable_words(self) -> list:
+        """The page's private word list, swapped in for the shared zero
+        array on first use."""
+        words = self.words
+        if words is ZERO_WORDS:
+            words = self.words = [0] * WORDS_PER_PAGE
+        return words
+
     def read(self, index: int) -> object:
         """Value of word ``index`` (zero if never written)."""
         self._check_index(index)
@@ -71,7 +96,7 @@ class Page:
     def write(self, index: int, value: object) -> None:
         """Set word ``index`` to ``value``; marks the word dirty."""
         self._check_index(index)
-        self.words[index] = value
+        self.writable_words()[index] = value
         if not self.dirty_mask and self.owner is not None:
             self.owner._dirty_pages += 1
         bit = 1 << index
@@ -82,14 +107,17 @@ class Page:
         """Set word ``index`` without dirtying it (a committed copy
         pulled in by the word-granularity COA ablation)."""
         self._check_index(index)
-        self.words[index] = value
+        self.writable_words()[index] = value
         self.present_mask |= 1 << index
 
     def snapshot(self) -> "Page":
-        """An independent copy at the same version (a COA transfer)."""
+        """An independent copy at the same version (a COA transfer).
+
+        An unwritten page's copy shares :data:`ZERO_WORDS`."""
         copy = Page.__new__(Page)
         copy.number = self.number
-        copy.words = self.words[:]
+        words = self.words
+        copy.words = words if words is ZERO_WORDS else words[:]
         copy.version = self.version
         copy.present_mask = self.present_mask
         copy.dirty_mask = 0

@@ -17,7 +17,6 @@ parallelization techniques consult it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-import networkx as nx
 
 from repro.errors import ParadigmError
 
@@ -55,6 +54,10 @@ class ProgramDependenceGraph:
     """PDG over the statements of one loop body."""
 
     def __init__(self) -> None:
+        # Imported here, not at module level: only PDG users pay for
+        # networkx, not every ``import repro``.
+        import networkx as nx
+
         self._graph = nx.MultiDiGraph()
         self._dependences: list[Dependence] = []
 
@@ -100,6 +103,8 @@ class ProgramDependenceGraph:
         condensed DAG.  Loop-carried edges participate: a statement
         feeding itself next iteration is a recurrence and forms (or
         joins) an SCC."""
+        import networkx as nx
+
         condensed = nx.condensation(self._graph)
         order = nx.topological_sort(condensed)
         return [frozenset(condensed.nodes[n]["members"]) for n in order]

@@ -24,6 +24,8 @@ Every episode is seed-deterministic: the same plan reproduces the
 same run digest, corruption and repair included.
 """
 
+import zlib
+
 import pytest
 
 from repro.analysis import memory_fingerprint, run_digest
@@ -36,7 +38,9 @@ from repro.chaos import (
 )
 from repro.core import DSMTXSystem, SystemConfig
 from repro.core.config import PipelineConfig
+from repro.core.integrity import page_digest, payload_checksum
 from repro.errors import ClusterFailedError
+from repro.memory import Page
 from repro.workloads.base import ParallelPlan
 from tests.core.toys import ToyDoall
 
@@ -199,6 +203,15 @@ def test_repair_holds_at_any_worker_count(cores):
 
 
 # -- committed memory: the scrubber -----------------------------------------------
+
+
+def test_page_digest_hashes_the_same_bytes_for_empty_and_written_pages():
+    # An empty page takes a shortcut; its digest must not move.
+    empty = Page(7)
+    assert page_digest(empty) == zlib.crc32(b"P7[]")
+    written = Page(7, {0: 5, 3: "x"})
+    for page in (empty, written):
+        assert page_digest(page) == payload_checksum(page)
 
 
 def test_scrubber_detects_and_repairs_memory_corruption():

@@ -1,6 +1,12 @@
 """Unit tests for the Program Dependence Graph."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.errors import ParadigmError
 from repro.paradigms import (
@@ -89,3 +95,16 @@ def test_speculate_with_predicate():
     remaining = {(d.src, d.dst) for d in narrowed.dependences}
     assert ("C", "C") not in remaining
     assert ("C", "B") in remaining
+
+
+def test_import_repro_does_not_load_networkx():
+    # networkx is imported when a PDG is built, not by ``import repro``.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import repro; "
+        "print('networkx' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
