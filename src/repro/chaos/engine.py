@@ -3,7 +3,7 @@
 The engine attaches to a simulation :class:`~repro.sim.Environment` as
 ``env.chaos`` and intervenes at exactly two kinds of points:
 
-* **the wire** — the interconnect's inter-node send paths consult
+* **the wire** — :meth:`~repro.cluster.mpi.MPI.send` consults
   :meth:`ChaosEngine.on_wire` once per inter-node message, in simulation
   order, and obey the verdict: deliver (possibly with degraded wire
   parameters), drop, or duplicate.  Intra-node traffic is never touched
@@ -377,21 +377,14 @@ def _flip_int(value: int, rng) -> int:
 
 
 def _value_leaf_positions(entries) -> list:
-    """Flippable positions in a batch: ``(entry_index, element_index)``
-    with element_index ``None`` for scalar-value entries."""
-    from repro.core.messages import DATA, READ, READ_BLOCK, WRITE, WRITE_BLOCK
+    """Indices of the batch entries whose value is a flippable int."""
+    from repro.core.messages import DATA, READ, WRITE
 
-    positions = []
-    for i, entry in enumerate(entries):
-        kind = entry[0]
-        if kind in (WRITE, READ, DATA):
-            if len(entry) > 2 and isinstance(entry[2], int):
-                positions.append((i, None))
-        elif kind in (WRITE_BLOCK, READ_BLOCK):
-            for j, value in enumerate(entry[2]):
-                if isinstance(value, int):
-                    positions.append((i, j))
-    return positions
+    return [
+        i
+        for i, entry in enumerate(entries)
+        if entry[0] in (WRITE, READ, DATA) and len(entry) > 2 and isinstance(entry[2], int)
+    ]
 
 
 def _corrupt_copy(payload, rng):
@@ -413,15 +406,10 @@ def _corrupt_copy(payload, rng):
         positions = _value_leaf_positions(payload.entries)
         if not positions:
             return None
-        i, j = positions[rng.randrange(len(positions))]
+        i = positions[rng.randrange(len(positions))]
         entries = list(payload.entries)
         entry = entries[i]
-        if j is None:
-            entries[i] = entry[:2] + (_flip_int(entry[2], rng),) + entry[3:]
-        else:
-            values = list(entry[2])
-            values[j] = _flip_int(values[j], rng)
-            entries[i] = entry[:2] + (values,) + entry[3:]
+        entries[i] = entry[:2] + (_flip_int(entry[2], rng),) + entry[3:]
         return payload._replace(entries=tuple(entries))
     if isinstance(payload, ControlEnvelope):
         if payload.kind != CTL_COA_RESPONSE or len(payload.payload) != 3:

@@ -10,7 +10,6 @@ Run benchmarks and inspect the suite without writing code::
     python -m repro chaos --crash-node 0         # fault injection + recovery
     python -m repro chaos --corruption 0.05 --integrity   # checksum repair
     python -m repro scrub crc32                  # committed-memory audit
-    python -m repro perf                         # wall-clock hot-path harness
     python -m repro campaign run scenarios/example_grid.json --workers 4
     python -m repro campaign report              # aggregate tables (latest)
     python -m repro campaign diff prev latest    # digest regression check
@@ -36,7 +35,6 @@ from repro.analysis import (
 )
 from repro.core import DSMTXSystem, SystemConfig
 from repro.obs import instrument, write_chrome_trace, write_trace_csv
-from repro.perf import cmd_perf
 from repro.workloads import (
     ALL_BENCHMARKS,
     BENCHMARKS,
@@ -765,22 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     clist = campaign_sub.add_parser("list", help="stored campaigns")
     _store_flag(clist)
 
-    perf = sub.add_parser(
-        "perf",
-        help="time the simulation hot path; write BENCH_sim.json "
-             "(docs/PERFORMANCE.md)",
-    )
-    perf.add_argument("--smoke", action="store_true",
-                      help="tiny matrix, one repeat: validates the harness "
-                           "without overwriting real numbers")
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="runs per matrix entry; best wall time wins")
-    perf.add_argument("--out", default=None,
-                      help="results path (default: ./BENCH_sim.json)")
-    perf.add_argument("--guard", action="store_true",
-                      help="perf-drift guard: time the guarded entries at "
-                           "full size and exit 1 if events/sec regresses "
-                           ">30%% vs the committed BENCH_sim.json")
     return parser
 
 
@@ -795,7 +777,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "trace": cmd_trace,
         "chaos": cmd_chaos,
         "scrub": cmd_scrub,
-        "perf": cmd_perf,
         "campaign": cmd_campaign,
     }
     return handlers[args.command](args)

@@ -16,19 +16,23 @@ Intra-node transfers use the shared-memory parameters of the
 "serialization" there is the memcpy cost paid by the sender).
 
 A transfer is split into a synchronous **transmit phase**, executed in
-the sending process (eager-protocol semantics: the sender's call returns
-once the data has left its hands), and an asynchronous **delivery
-phase** that the interconnect runs as its own process.  Because the
-transmit phase of messages from one sender is serialized — by the NIC
-resource across nodes, by program order within a process — and the
-propagation latency per (src, dst) pair is constant, deliveries between
-a fixed pair of cores arrive in the order they were sent, which gives
-channels FIFO semantics for free.
+the sending process by :meth:`~repro.cluster.mpi.MPI.send` (eager-protocol
+semantics: the sender's call returns once the data has left its hands),
+and an asynchronous **delivery phase**, a :class:`_Delivery` callback
+chain.  Because the transmit phase of messages from one sender is
+serialized — by the NIC resource across nodes, by program order within
+a process — and the propagation latency per (src, dst) pair is constant,
+deliveries between a fixed pair of cores arrive in the order they were
+sent, which gives channels FIFO semantics for free.
+
+:class:`Interconnect` holds what both phases look up per message: the
+node of every core, the two wire-parameter pairs, and the transfer
+statistics.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
 from repro.cluster.node import Machine
 from repro.sim import Environment, Event
@@ -45,14 +49,6 @@ class TransferStats:
         self.inter_node_bytes = 0
         self.intra_node_bytes = 0
 
-    def record(self, nbytes: int, inter_node: bool) -> None:
-        self.total_bytes += nbytes
-        self.total_messages += 1
-        if inter_node:
-            self.inter_node_bytes += nbytes
-        else:
-            self.intra_node_bytes += nbytes
-
     def snapshot(self) -> dict:
         """Plain-dict view for reports."""
         return {
@@ -64,16 +60,18 @@ class TransferStats:
 
 
 class _Delivery:
-    """One in-flight message, driven as a chain of event callbacks.
+    """The delivery phase of one in-flight message, driven as a chain of
+    event callbacks.
 
-    Behaviourally identical to running :meth:`Interconnect._delivery_phase`
-    as its own process — same timeouts, same NIC receive contention, same
-    hand-off instant — but without the process machinery: no Initialize
-    event, no generator frame, no process-completion event.  On the
-    batched-queue fast path that removes two queue trips per envelope,
-    and with a (``mailbox``, ``payload``) destination the final hand-off
-    is a :meth:`~repro.sim.resources.Store.put_nowait`, removing the
-    per-message put-acknowledge event and deliver closure as well.
+    :meth:`~repro.cluster.mpi.MPI.send` starts one per message after its
+    transmit phase: the propagation latency, then (inter-node) the
+    receiver's NIC grant and receive serialization, then the hand-off.
+    A callback chain instead of a process saves the Initialize event,
+    the generator frame and the process-completion event.  With a
+    (``mailbox``, ``payload``) destination the hand-off is a
+    :meth:`~repro.sim.resources.Store.put_nowait`, with no
+    put-acknowledge event; the transport's management path passes a
+    ``deliver`` callable instead.
     """
 
     __slots__ = ("env", "dst_node", "nbytes", "bandwidth", "mailbox",
@@ -99,9 +97,8 @@ class _Delivery:
         self.dst_node = dst_node
         self.bandwidth = bandwidth
         self._rx: Optional[Event] = None
-        # A zero latency still takes one trip through the event queue
-        # (as the old delivery process's Initialize event did), so the
-        # hand-off never happens synchronously inside the sender.
+        # A zero latency still takes one trip through the event queue,
+        # so the hand-off never happens synchronously inside the sender.
         env.sleep(latency).callbacks.append(self._after_latency)
 
     def _after_latency(self, _event: Event) -> None:
@@ -133,7 +130,8 @@ class _Delivery:
 
 
 class Interconnect:
-    """Point-to-point transfer engine over the cluster's NICs."""
+    """Per-core wire lookups and transfer statistics for the cluster's
+    NICs; :meth:`~repro.cluster.mpi.MPI.send` prices each transfer."""
 
     def __init__(self, env: Environment, machine: Machine) -> None:
         self.env = env
@@ -141,145 +139,9 @@ class Interconnect:
         self.spec = machine.spec
         self.stats = TransferStats()
         # Per-core node lookups and the two wire-parameter pairs,
-        # resolved once: send() runs for every batch and control message.
+        # resolved once: MPI.send runs for every batch and control message.
         spec = self.spec
         self._node_index_of = [spec.node_of_core(i) for i in range(spec.total_cores)]
         self._node_of = [machine.nodes[n] for n in self._node_index_of]
         self._intra = (spec.intra_node_latency_s, spec.intra_node_bandwidth_bps)
         self._inter = (spec.inter_node_latency_s, spec.inter_node_bandwidth_bps)
-
-    # -- public API -----------------------------------------------------------
-
-    def send(
-        self,
-        src_core: int,
-        dst_core: int,
-        nbytes: int,
-        deliver: Optional[Callable[[], Any]] = None,
-        mailbox: Any = None,
-        payload: Any = None,
-    ) -> Generator[Event, Any, None]:
-        """Eager send: transmit synchronously, deliver asynchronously.
-
-        Drive with ``yield from`` in the sending process; it returns when
-        the data has been handed to the network.  The delivery runs as a
-        detached callback chain once the message reaches the destination:
-        either ``payload`` is deposited into the ``mailbox`` store (the
-        fast path — no closure, no put-acknowledge event) or the
-        ``deliver`` callable runs.
-        """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        if src_core < 0 or dst_core < 0:
-            raise IndexError(f"core index out of range: {src_core}, {dst_core}")
-        node_index_of = self._node_index_of
-        inter_node = node_index_of[src_core] != node_index_of[dst_core]
-        stats = self.stats
-        stats.total_bytes += nbytes
-        stats.total_messages += 1
-        # Transmit phase, inlined (this is _transmit_phase without the
-        # extra generator frame and spec lookups).
-        verdict = 0  # chaos verdicts: 0 deliver, 1 drop, 2 duplicate, 3 corrupt
-        if inter_node:
-            stats.inter_node_bytes += nbytes
-            latency, bandwidth = self._inter
-            chaos = self.env.chaos
-            if chaos is not None:
-                # Fault injection adjudicates inter-node traffic only;
-                # the sender-side costs below are paid regardless (the
-                # packets leave the NIC even if they die on the wire).
-                verdict, latency, bandwidth = chaos.on_wire(
-                    node_index_of[src_core], node_index_of[dst_core],
-                    latency, bandwidth,
-                )
-                if verdict == 3:
-                    # Silent corruption: deliver once, but with bits
-                    # flipped in a *copy* of the payload (the sender's
-                    # retransmit buffer keeps the intact original).
-                    payload = chaos.corrupt_payload(payload)
-                    verdict = 0
-            src_node = self._node_of[src_core]
-            src_node.bytes_sent += nbytes
-            tx = src_node.nic_tx.request()
-            yield tx
-            try:
-                serialization = nbytes / bandwidth
-                if serialization > 0:
-                    yield self.env.sleep(serialization)
-            finally:
-                src_node.nic_tx.release(tx)
-            dst_node = self._node_of[dst_core]
-        else:
-            stats.intra_node_bytes += nbytes
-            latency, bandwidth = self._intra
-            # Intra-node: the sender pays the memcpy into the shared buffer.
-            serialization = nbytes / bandwidth
-            if serialization > 0:
-                yield self.env.sleep(serialization)
-            dst_node = None
-        if verdict != 1:
-            _Delivery(self.env, dst_node, nbytes, latency, bandwidth, mailbox, payload, deliver)
-            if verdict == 2:
-                _Delivery(self.env, dst_node, nbytes, latency, bandwidth, mailbox, payload, deliver)
-
-    def send_blocking(
-        self,
-        src_core: int,
-        dst_core: int,
-        nbytes: int,
-        deliver: Optional[Callable[[], Any]] = None,
-    ) -> Generator[Event, Any, None]:
-        """Rendezvous send: returns only after full delivery."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        inter_node = not self.spec.same_node(src_core, dst_core)
-        self.stats.record(nbytes, inter_node)
-        yield from self._transmit_phase(src_core, dst_core, nbytes, inter_node)
-        yield from self._delivery_phase(src_core, dst_core, nbytes, inter_node, deliver)
-
-    # -- phases ---------------------------------------------------------------
-
-    def _transmit_phase(
-        self, src_core: int, dst_core: int, nbytes: int, inter_node: bool
-    ) -> Generator[Event, Any, None]:
-        latency_, bandwidth = self.spec.wire_parameters(src_core, dst_core)
-        serialization = nbytes / bandwidth
-        if inter_node:
-            src_node = self.machine.nodes[self.spec.node_of_core(src_core)]
-            src_node.bytes_sent += nbytes
-            tx = src_node.nic_tx.request()
-            yield tx
-            try:
-                if serialization > 0:
-                    yield self.env.sleep(serialization)
-            finally:
-                src_node.nic_tx.release(tx)
-        else:
-            # Intra-node: the sender pays the memcpy into the shared buffer.
-            if serialization > 0:
-                yield self.env.sleep(serialization)
-
-    def _delivery_phase(
-        self,
-        src_core: int,
-        dst_core: int,
-        nbytes: int,
-        inter_node: bool,
-        deliver: Optional[Callable[[], Any]],
-    ) -> Generator[Event, Any, None]:
-        latency, bandwidth = self.spec.wire_parameters(src_core, dst_core)
-        if latency > 0:
-            yield self.env.sleep(latency)
-        if inter_node:
-            dst_node = self.machine.nodes[self.spec.node_of_core(dst_core)]
-            dst_node.bytes_received += nbytes
-            rx = dst_node.nic_rx.request()
-            yield rx
-            try:
-                serialization = nbytes / bandwidth
-                if serialization > 0:
-                    yield self.env.sleep(serialization)
-            finally:
-                dst_node.nic_rx.release(rx)
-        if deliver is not None:
-            deliver()

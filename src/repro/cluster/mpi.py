@@ -4,8 +4,9 @@ DSMTX is implemented on top of OpenMPI (paper section 4).  This module
 models the three send flavours the paper measures — ``MPI_Send``,
 ``MPI_Bsend``, ``MPI_Isend`` — each paying a calibrated per-call
 software overhead on the sender, and ``MPI_Recv`` paying the paper's
-~2,295-instruction overhead on the receiver, on top of the wire costs
-charged by the :class:`~repro.cluster.interconnect.Interconnect`.
+~2,295-instruction overhead on the receiver.  :meth:`MPI.send` also
+prices the wire: the NIC model of
+:mod:`repro.cluster.interconnect` runs here, in the sending process.
 
 Ranks are global core indices: every runtime unit is pinned to one core
 and communicates from it.  Messages between a fixed (source,
@@ -81,6 +82,10 @@ class MPI:
         """
         if src_rank == dst_rank:
             raise CommunicationError(f"send to self (rank {src_rank}) is not supported")
+        if nbytes < 0:
+            raise ValueError(f"negative payload size: {nbytes}")
+        if dst_rank < 0:
+            raise IndexError(f"core index out of range: {src_rank}, {dst_rank}")
         obs = self.env.obs
         start = self.env.now if obs is not None else 0.0
         core = self.machine.core(src_rank)
@@ -88,15 +93,10 @@ class MPI:
         yield core.compute(self._variant_cycles[variant])
         self.sent_count[variant] += 1
         box = mailbox if mailbox is not None else self.mailbox(src_rank, dst_rank, tag)
-        # Interconnect.send inlined (the eager mailbox path): one
-        # generator frame per message instead of two.  Must stay
-        # behaviour-identical to Interconnect.send — edit both together.
+        # Transmit phase: NIC tx contention and serialization (inter-node)
+        # or the memcpy (intra-node); a _Delivery runs the rest.
         ic = self.interconnect
         wire_bytes = nbytes + ENVELOPE_BYTES
-        if wire_bytes < 0:
-            raise ValueError(f"negative transfer size: {wire_bytes}")
-        if dst_rank < 0:
-            raise IndexError(f"core index out of range: {src_rank}, {dst_rank}")
         node_index_of = ic._node_index_of
         inter_node = node_index_of[src_rank] != node_index_of[dst_rank]
         stats = ic.stats

@@ -37,7 +37,6 @@ from repro.core.messages import (
     REPL_FRONTIER,
     VALIDATED,
     WRITE,
-    WRITE_BLOCK,
 )
 from repro.core.stats import CheckpointRecord, FailureRecord, RecoveryRecord
 from repro.errors import NodeCrashed, ProcessInterrupt, RecoveryError
@@ -238,8 +237,7 @@ class CommitUnit:
     def _drain_queue(self, queue) -> None:
         """Group a clog queue's entries into per-iteration write sets.
 
-        Groups hold the write-log entries themselves — per-word ``W``
-        records and run-length ``WB`` records — which
+        Groups hold the ``W`` write-log entries themselves, which
         :meth:`AddressSpace.apply_entries` applies wholesale at commit.
         """
         group = self._open_groups.setdefault(queue.name, [])
@@ -247,7 +245,7 @@ class CommitUnit:
         while delivered:
             entry = delivered.popleft()
             kind = entry[0]
-            if kind == WRITE or kind == WRITE_BLOCK:
+            if kind == WRITE:
                 group.append(entry)
             elif kind == VALIDATED:
                 self.validated.add(entry[1])
@@ -291,27 +289,15 @@ class CommitUnit:
                     # the scrubber can run at any yield point, and a
                     # stale table entry would read this legitimate
                     # commit as corruption.
-                    touched: set = set()
-                    for entry in writes:
-                        if entry[0] == WRITE:
-                            touched.add(page_number(entry[1]))
-                        else:
-                            first = page_number(entry[1])
-                            last = page_number(entry[1] + (len(entry[2]) << 3) - 8)
-                            touched.update(range(first, last + 1))
-                    self._refresh_digests(touched)
+                    self._refresh_digests({page_number(entry[1]) for entry in writes})
                 if repl is not None:
                     # Stream in the exact apply order so the standby's
                     # replay reproduces master memory word for word.
-                    # Per-word entries are re-framed as bare (W, a, v)
-                    # triples (a 4th nbytes element prices the *log*
-                    # wire, not the replication stream); run-length
-                    # entries ship whole.
+                    # Entries are re-framed as bare (W, a, v) triples (a
+                    # 4th nbytes element prices the *log* wire, not the
+                    # replication stream).
                     for entry in writes:
-                        if entry[0] == WRITE:
-                            yield from repl.produce((WRITE, entry[1], entry[2]))
-                        else:
-                            yield from repl.produce(entry)
+                        yield from repl.produce((WRITE, entry[1], entry[2]))
             self.core.charge_instructions(words * system.config.commit_instructions)
             system.stats.words_committed += words
             system.stats.committed_mtxs += 1
@@ -520,23 +506,13 @@ class CommitUnit:
     def _check_read_only(self, writes) -> None:
         """COA replicas rely on read-only pages never being committed
         to; a violation is a workload bug, not a recoverable event."""
-        from repro.memory import page_number
-
         uva = self.system.uva
         for entry in writes:
             address = entry[1]
-            if entry[0] == WRITE_BLOCK:
-                first = page_number(address)
-                last = page_number(address + (len(entry[2]) << 3) - 8)
-                bad = next(
-                    (p for p in range(first, last + 1) if uva.page_is_read_only(p)),
-                    None,
-                )
-            else:
-                bad = page_number(address) if uva.page_is_read_only(page_number(address)) else None
-            if bad is not None:
+            page_no = page_number(address)
+            if uva.page_is_read_only(page_no):
                 raise RecoveryError(
-                    f"commit to read-only page {bad} "
+                    f"commit to read-only page {page_no} "
                     f"(address {address:#x}); read-only declarations must "
                     "cover only immutable input data"
                 )

@@ -3,7 +3,10 @@
 A workload's loop body is written once as a generator function taking a
 *context* and driving all of its effects through it: word loads/stores,
 pipeline dataflow, cycle-cost accounting, and speculation assertions.
-Three contexts implement that interface:
+Memory is reached one word per ``load``/``store`` call; a bulk read of
+committed data is modelled as one load per page
+(:func:`repro.workloads.common.touch_pages`).  Three contexts implement
+that interface:
 
 * :class:`MTXContext` — the speculative context used inside a worker's
   subTX.  Loads hit the worker's private memory and fault through
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.core.messages import DATA, READ, READ_BLOCK, WRITE, WRITE_BLOCK
+from repro.core.messages import DATA, READ, WRITE
 from repro.errors import (
     MisspeculationDetected,
     ProtectionFault,
@@ -74,12 +77,6 @@ class MTXContext:
     def compute(self, cycles: float) -> None:
         """Account ``cycles`` of computation (deferred, zero events)."""
         self._worker.core.charge_cycles(cycles)
-
-    def compute_batch(self, cycles_per_item: float, count: int) -> None:
-        """Account ``count`` items of ``cycles_per_item`` computation in
-        one deferred charge — identical simulated cost to ``count``
-        :meth:`compute` calls, one Python call."""
-        self._worker.core.charge_cycles(cycles_per_item * count)
 
     # -- memory ------------------------------------------------------------------------
 
@@ -137,77 +134,6 @@ class MTXContext:
         else:
             worker._word_granular_write(address, value)
         entry = (WRITE, address, value) if nbytes is None else (WRITE, address, value, nbytes)
-        worker.current_log.append(entry)
-        if forward is True:
-            worker.pending_forwards.append((entry, None))
-        elif forward:
-            worker.pending_forwards.append((entry, tuple(forward)))
-
-    def load_block(
-        self, address: int, count: int, speculative: bool = False
-    ) -> Generator[Event, Any, list]:
-        """Read ``count`` consecutive words (the batch form of
-        :meth:`load`).
-
-        Simulated cost is exactly ``count`` per-word accesses — charged
-        in one call — and a speculative block load appends ONE
-        run-length ``READ_BLOCK`` record standing for ``count`` per-word
-        observations (same wire bytes, same validation checks; only the
-        Python-level bookkeeping is amortized).
-        """
-        if self._state.in_recovery:
-            raise RecoveryAbort("system entered recovery mid-subTX")
-        worker = self._worker
-        self._charge(self._access_cycles * count)
-        if self._page_coa:
-            # A block may straddle several protected pages: fetch and
-            # re-issue until the whole run is resident (reads are
-            # idempotent, so the retry is safe).
-            while True:
-                try:
-                    values = self._space.read_block(address, count)
-                    break
-                except ProtectionFault as fault:
-                    yield from worker._coa_fetch(fault.page_number)
-        else:
-            values = []
-            for offset in range(count):
-                value = yield from worker._word_granular_read(address + (offset << 3))
-                values.append(value)
-        if speculative:
-            worker.current_log.append((READ_BLOCK, address, tuple(values)))
-        return values
-
-    def store_block(
-        self, address: int, values, forward: Any = True
-    ) -> Generator[Event, Any, None]:
-        """Write the run of words ``values`` (the batch form of
-        :meth:`store`).
-
-        Charges ``len(values)`` per-word accesses in one call and logs
-        ONE run-length ``WRITE_BLOCK`` entry priced at ``len(values)``
-        address/value pairs on the wire.  ``forward`` follows
-        :meth:`store` semantics (``mtx_writeAll`` / ``mtx_writeTo`` /
-        local).
-        """
-        if self._state.in_recovery:
-            raise RecoveryAbort("system entered recovery mid-subTX")
-        worker = self._worker
-        count = len(values)
-        self._charge(self._access_cycles * count)
-        if self._page_coa:
-            # Stores fault on protected pages too; re-issuing the whole
-            # block after the fetch is idempotent (same values).
-            while True:
-                try:
-                    self._space.write_block(address, values)
-                    break
-                except ProtectionFault as fault:
-                    yield from worker._coa_fetch(fault.page_number)
-        else:
-            for offset, value in enumerate(values):
-                worker._word_granular_write(address + (offset << 3), value)
-        entry = (WRITE_BLOCK, address, tuple(values))
         worker.current_log.append(entry)
         if forward is True:
             worker.pending_forwards.append((entry, None))
@@ -385,29 +311,6 @@ class MasterContext:
         return
         yield  # pragma: no cover - makes this a generator
 
-    def compute_batch(self, cycles_per_item: float, count: int) -> None:
-        self._core.charge_cycles(cycles_per_item * count)
-
-    def load_block(self, address: int, count: int,
-                   speculative: bool = False) -> Generator[Event, Any, list]:
-        self._core.charge_instructions(self._system.config.access_instructions * count)
-        return self._space.read_block(address, count)
-        yield  # pragma: no cover - makes this a generator
-
-    def store_block(self, address: int, values,
-                    forward: Any = True) -> Generator[Event, Any, None]:
-        self._core.charge_instructions(
-            self._system.config.access_instructions * len(values)
-        )
-        self._space.write_block(address, values)
-        if self._record:
-            self.written.extend(
-                (address + (offset << 3), value)
-                for offset, value in enumerate(values)
-            )
-        return
-        yield  # pragma: no cover - makes this a generator
-
     def produce(self, label: str, value: Any, nbytes: int = 16,
                 to_stage: Optional[int] = None) -> Generator[Event, Any, None]:
         """Sequential execution keeps dataflow in local lists."""
@@ -483,24 +386,6 @@ class SequentialMeter:
               nbytes: Optional[int] = None):
         self._charge_access()
         self._space.write(address, value)
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def compute_batch(self, cycles_per_item: float, count: int) -> None:
-        self.cycles += cycles_per_item * count
-
-    def load_block(self, address: int, count: int, speculative: bool = False):
-        self.cycles += count * (
-            self._config.access_instructions / self._config.cluster.instructions_per_cycle
-        )
-        return self._space.read_block(address, count)
-        yield  # pragma: no cover - makes this a generator
-
-    def store_block(self, address: int, values, forward: Any = True):
-        self.cycles += len(values) * (
-            self._config.access_instructions / self._config.cluster.instructions_per_cycle
-        )
-        self._space.write_block(address, values)
         return
         yield  # pragma: no cover - makes this a generator
 

@@ -21,8 +21,6 @@ from typing import Any, NamedTuple
 __all__ = [
     "WRITE",
     "READ",
-    "WRITE_BLOCK",
-    "READ_BLOCK",
     "END_SUBTX",
     "DATA",
     "VALIDATED",
@@ -69,16 +67,6 @@ REPL_FRONTIER = "RF"
 #: took an epoch checkpoint; the standby folds its replay log into its
 #: base image (mirroring the checkpoint) and starts a fresh log.
 REPL_CHECKPOINT = "RC"
-#: Run-length speculative store: ("WB", address, (v0, v1, ...)) — the
-#: batch form of N consecutive ``WRITE`` entries.  Wire size is N
-#: address/value pairs (no compression is modeled); batching buys the
-#: *runtime* amortized per-entry handling, exactly the paper's §4.2
-#: argument, not fewer bytes.
-WRITE_BLOCK = "WB"
-#: Run-length load observation: ("RB", address, (v0, v1, ...)) — the
-#: batch form of N consecutive ``READ`` entries for value-based
-#: validation.
-READ_BLOCK = "RB"
 
 # -- control message kinds ------------------------------------------------------
 
@@ -193,6 +181,4 @@ def entry_bytes(entry: tuple) -> int:
         return MARKER_BYTES
     if kind == WRITE and len(entry) > 3 and isinstance(entry[3], int):
         return entry[3]
-    if kind == WRITE_BLOCK or kind == READ_BLOCK:
-        return ENTRY_BYTES * len(entry[2])
     return ENTRY_BYTES

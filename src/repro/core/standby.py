@@ -46,7 +46,6 @@ from repro.core.messages import (
     SF_REPL_ROUND,
     SF_STOP,
     WRITE,
-    WRITE_BLOCK,
     ControlEnvelope,
 )
 from repro.core.reservations import (
@@ -161,16 +160,6 @@ class StandbyUnit:
             if kind == WRITE:
                 self._round.append((entry[1], entry[2]))
                 words += 1
-            elif kind == WRITE_BLOCK:
-                # Expand a run-length record into per-word replay pairs:
-                # the replay log, folds, and promotion stay word-ordered.
-                base = entry[1]
-                values = entry[2]
-                self._round.extend(
-                    (base + (offset << 3), value)
-                    for offset, value in enumerate(values)
-                )
-                words += len(values)
             elif kind == REPL_FRONTIER:
                 self.replay_log.extend(self._round)
                 self._round = []

@@ -58,7 +58,7 @@ class _SenderLink:
 class IngestBox:
     """Store-shaped receiver front-end for one destination unit.
 
-    Passed as the ``mailbox`` of wire deliveries: the interconnect calls
+    Passed as the ``mailbox`` of wire deliveries: the delivery calls
     :meth:`put_nowait` exactly as it would on the real inbox.  Frames
     are deduplicated, reordered, acknowledged, and unwrapped into the
     real inbox; anything from a crashed source node is dropped (the

@@ -30,10 +30,8 @@ from repro.core.messages import (
     CTL_MISSPEC,
     END_SUBTX,
     READ,
-    READ_BLOCK,
     VALIDATED,
     WRITE,
-    WRITE_BLOCK,
 )
 from repro.errors import (
     ChannelFlushedError,
@@ -154,32 +152,6 @@ class TryCommitUnit:
                     expected = yield from self._sequential_value(entry[1])
                     if entry[2] != expected:
                         clean = False
-                elif kind == WRITE_BLOCK:
-                    # One run-length entry standing for N per-word
-                    # stores: same simulated check cost (the charge
-                    # above covered the first word).
-                    values = entry[2]
-                    self.core.charge_instructions(
-                        system.config.check_instructions * (len(values) - 1)
-                    )
-                    base = entry[1]
-                    overlay = self.overlay
-                    for offset, value in enumerate(values):
-                        overlay[base + (offset << 3)] = value
-                elif kind == READ_BLOCK:
-                    values = entry[2]
-                    count = len(values)
-                    self.core.charge_instructions(
-                        system.config.check_instructions * (count - 1)
-                    )
-                    system.stats.reads_checked += count
-                    base = entry[1]
-                    for offset, value in enumerate(values):
-                        expected = yield from self._sequential_value(
-                            base + (offset << 3)
-                        )
-                        if value != expected:
-                            clean = False
         return clean
 
     def _consume_log_entry(self, queue, iteration: int) -> Generator[Event, Any, tuple]:

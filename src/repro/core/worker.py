@@ -32,7 +32,6 @@ from repro.core.messages import (
     DATA,
     END_SUBTX,
     WRITE,
-    WRITE_BLOCK,
 )
 from repro.errors import (
     ChannelFlushedError,
@@ -199,10 +198,6 @@ class Worker:
                     break
                 if kind == WRITE:
                     self.apply_forwarded(entry[1], entry[2])
-                elif kind == WRITE_BLOCK:
-                    base = entry[1]
-                    for offset, value in enumerate(entry[2]):
-                        self.apply_forwarded(base + (offset << 3), value)
                 elif kind == DATA:
                     self.context.incoming.setdefault(entry[1], []).append(entry[2])
         if obs is not None and self.stage_index > 0:
@@ -249,8 +244,7 @@ class Worker:
         clog = self._clog_queue()
         produce = clog.produce
         for entry in self.current_log:
-            kind = entry[0]
-            if kind == WRITE or kind == WRITE_BLOCK:
+            if entry[0] == WRITE:
                 events = produce(entry)
                 if events:
                     yield from events

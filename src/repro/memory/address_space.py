@@ -16,14 +16,15 @@ Two protection modes exist:
   misspeculation recovery, :meth:`reprotect_all` discards all local
   pages, reinstating the protections (paper section 4.3, step four).
 
-Beyond single-word access, the space exposes *batch* primitives that
-amortize Python-level overhead the way DSMTX batches messages to
-amortize wire overhead (section 4.2): :meth:`read_block` /
-:meth:`write_block` move runs of consecutive words as list slices,
-:meth:`dirty_words` / :meth:`extract_blocks` pull write-sets and page
-populations straight from the per-page bitmasks, and
-:meth:`apply_entries` applies a commit group containing both per-word
-and run-length records.
+Workload bodies touch memory one word at a time.  Three page-level
+batch primitives serve the runtime units: the commit unit applies a
+commit group of ``W`` log records with :meth:`apply_entries` (one
+version bump per touched page), and a standby seeds its image from the
+master with :meth:`extract_blocks` / :meth:`apply_blocks` (runs of
+consecutive words, moved as list slices by :meth:`write_block`).
+:meth:`read_block` and :meth:`dirty_words` read runs and write-sets
+back out of the per-page bitmasks; the tests use them as the reference
+model for the batch primitives.
 """
 
 from __future__ import annotations
@@ -44,12 +45,11 @@ from repro.obs.tracer import CAT_PAGE_FAULT, PID_RUNTIME
 
 __all__ = ["AddressSpace"]
 
-#: Batch-entry kinds understood by :meth:`AddressSpace.apply_entries`.
-#: These mirror ``repro.core.messages.WRITE`` / ``WRITE_BLOCK`` — the
-#: memory layer cannot import the runtime layer, so the contract is
-#: pinned by ``tests/memory/test_blocks.py``.
+#: The log-entry kind :meth:`AddressSpace.apply_entries` applies.  It
+#: mirrors ``repro.core.messages.WRITE`` — the memory layer cannot import
+#: the runtime layer, so the contract is pinned by
+#: ``tests/memory/test_blocks.py``.
 _ENTRY_WRITE = "W"
-_ENTRY_WRITE_BLOCK = "WB"
 
 
 class AddressSpace:
@@ -411,56 +411,44 @@ class AddressSpace:
     def apply_entries(self, entries: Iterable[tuple]) -> int:
         """Apply a commit group of log entries in order.
 
-        Entries are runtime log records: per-word writes
-        ``("W", address, value[, nbytes])`` and run-length blocks
-        ``("WB", address, values)`` — the kind strings mirror
-        ``repro.core.messages``.  Validates all addresses up front,
-        applies last-wins in entry order, bumps each touched page once,
-        and returns the number of words applied.
+        Entries are runtime write records ``("W", address, value[,
+        nbytes])`` — the kind string mirrors ``repro.core.messages``.
+        Validates every entry up front, applies last-wins in entry
+        order, bumps each touched page once, and returns the number of
+        words applied.
         """
         if not isinstance(entries, (list, tuple)):
             entries = list(entries)
         for entry in entries:
+            if entry[0] != _ENTRY_WRITE:  # pragma: no cover - defensive
+                raise UnmappedAddressError(
+                    f"apply_entries got unexpected entry kind {entry[0]!r}"
+                )
             address = entry[1]
             if address < 0 or address & WORD_MASK:
                 check_word_aligned(address)
         pages = self.pages
         touched = set()
-        words = 0
         for entry in entries:
-            kind = entry[0]
             address = entry[1]
-            if kind == _ENTRY_WRITE:
-                page_no = address >> PAGE_SHIFT
-                page = pages.get(page_no)
-                if page is None:
-                    page = self.get_page(page_no)
-                index = (address & PAGE_MASK) >> WORD_SHIFT
-                array = page.words
-                if array is ZERO_WORDS:
-                    array = page.words = [0] * WORDS_PER_PAGE
-                array[index] = entry[2]
-                if not page.dirty_mask:
-                    self._dirty_pages += 1
-                bit = 1 << index
-                page.dirty_mask |= bit
-                page.present_mask |= bit
-                touched.add(page_no)
-                words += 1
-            elif kind == _ENTRY_WRITE_BLOCK:
-                values = entry[2]
-                count = len(values)
-                last = (address + (count << WORD_SHIFT) - 1) >> PAGE_SHIFT
-                touched.update(range(address >> PAGE_SHIFT, last + 1))
-                self.write_block(address, values)
-                words += count
-            else:  # pragma: no cover - defensive
-                raise UnmappedAddressError(
-                    f"apply_entries got unexpected entry kind {kind!r}"
-                )
+            page_no = address >> PAGE_SHIFT
+            page = pages.get(page_no)
+            if page is None:
+                page = self.get_page(page_no)
+            index = (address & PAGE_MASK) >> WORD_SHIFT
+            array = page.words
+            if array is ZERO_WORDS:
+                array = page.words = [0] * WORDS_PER_PAGE
+            array[index] = entry[2]
+            if not page.dirty_mask:
+                self._dirty_pages += 1
+            bit = 1 << index
+            page.dirty_mask |= bit
+            page.present_mask |= bit
+            touched.add(page_no)
         for page_no in touched:
             pages[page_no].bump_version()
-        return words
+        return len(entries)
 
     def iter_pages(self) -> Iterator[Page]:
         """All installed pages, in page-number order (cached sort)."""

@@ -298,7 +298,7 @@ class Environment:
         self._processes: dict[Process, None] = {}
         #: Hooks invoked with each processed event (see ``repro.sim.trace``).
         self._step_listeners: list[Callable[[Event], None]] = []
-        #: Events processed so far (the ``repro perf`` throughput metric).
+        #: Events processed so far (perfbench reports it as ``sim.engine.events``).
         self.events_processed = 0
 
     # -- introspection ----------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from repro.core.config import PipelineConfig
 from repro.memory import PAGE_BYTES
 from repro.workloads.base import ParallelPlan, Workload
-from repro.workloads.common import check_access, mix_range, store_words
+from repro.workloads.common import mix_range
 
 __all__ = ["BlackScholes"]
 
@@ -52,22 +52,15 @@ class BlackScholes(Workload):
     #: Pages of shared option-parameter tables (volatility surfaces
     #: etc.); small, so per-worker Copy-On-Access traffic stays minor.
     table_pages = 2
-    #: Options priced per iteration in the ``word``/``block`` access
-    #: legs (scalar math in both, so committed prices are identical).
-    options_per_iteration = 16
 
-    def __init__(self, iterations=3072, misspec_iterations=None, access="paged"):
+    def __init__(self, iterations=3072, misspec_iterations=None):
         super().__init__(iterations, misspec_iterations)
-        self.access = check_access(access)
 
     def build(self, uva, owner, store):
         self.tables_base = uva.malloc_page_aligned(
             owner, self.table_pages * PAGE_BYTES, read_only=True
         )
-        out_words = self.iterations * (
-            1 if self.access == "paged" else self.options_per_iteration
-        )
-        self.prices_base = uva.malloc_page_aligned(owner, out_words * 8)
+        self.prices_base = uva.malloc_page_aligned(owner, self.iterations * 8)
         self.total_addr = uva.malloc(owner, 8)
         store.write(self.total_addr, 0.0)
         for page in range(self.table_pages):
@@ -87,49 +80,9 @@ class BlackScholes(Workload):
                                    volatility=volatility, expiry=1.0)
         return round(price, 6)
 
-    # -- word/block access legs (A/B pair for the batched access paths) ------------------
-
-    def _price_batch(self, ctx, speculative: bool):
-        """Price ``options_per_iteration`` options — scalar math in both
-        legs, so the committed prices are bit-identical; the per-option
-        cycle charges differ only in Python call count."""
-        i = ctx.iteration
-        page = i % self.table_pages
-        volatility = yield from ctx.load(self.tables_base + page * PAGE_BYTES)
-        if speculative:
-            ctx.speculate(not self.injected_misspec(i), "pricing error condition")
-        count = self.options_per_iteration
-        per_option = self.price_cycles // count
-        if self.access == "block":
-            ctx.compute_batch(per_option, count)
-        else:
-            for _ in range(count):
-                ctx.compute(per_option)
-        prices = []
-        for j in range(count):
-            option = i * count + j
-            spot = round(mix_range(option, 80.0, 120.0), 6)
-            strike = round(mix_range(option, 90.0, 110.0, 1), 6)
-            prices.append(round(black_scholes_call(
-                spot, strike, rate=0.05, volatility=volatility, expiry=1.0), 6))
-        return prices
-
-    def _collect_batch(self, ctx, prices):
-        ctx.compute(self.collect_cycles)
-        base = self.prices_base + 8 * self.options_per_iteration * ctx.iteration
-        yield from store_words(ctx, base, prices, self.access, forward=False)
-        total = yield from ctx.load(self.total_addr)
-        for price in prices:
-            total = round(total + price, 6)
-        yield from ctx.store(self.total_addr, total, forward=False)
-
     # -- sequential semantics ------------------------------------------------------------
 
     def sequential_body(self, ctx):
-        if self.access != "paged":
-            prices = yield from self._price_batch(ctx, speculative=False)
-            yield from self._collect_batch(ctx, prices)
-            return
         price = yield from self._price(ctx, speculative=False)
         yield from ctx.store(self.prices_base + 8 * ctx.iteration, price)
         ctx.compute(self.collect_cycles)
@@ -139,10 +92,6 @@ class BlackScholes(Workload):
     # -- Spec-DSWP plan ---------------------------------------------------------------------
 
     def _stage0(self, ctx):
-        if self.access != "paged":
-            prices = yield from self._price_batch(ctx, speculative=True)
-            yield from ctx.produce("prices", tuple(prices))
-            return
         price = yield from self._price(ctx, speculative=True)
         yield from ctx.produce("price", price)
 
@@ -150,10 +99,6 @@ class BlackScholes(Workload):
         # The sequential stage owns the result array: keeping the store
         # off the parallel stage avoids every worker COA-faulting the
         # shared output pages.
-        if self.access != "paged":
-            prices = ctx.consume("prices")
-            yield from self._collect_batch(ctx, prices)
-            return
         price = ctx.consume("price")
         ctx.compute(self.collect_cycles)
         yield from ctx.store(self.prices_base + 8 * ctx.iteration, price, forward=False)
@@ -186,11 +131,6 @@ class BlackScholes(Workload):
         yield from ctx.sync_send("total", total)
 
     def tls_plan(self):
-        if self.access != "paged":
-            from repro.errors import ConfigurationError
-            raise ConfigurationError(
-                "the word/block access legs exist for the DSMTX plan only"
-            )
         return ParallelPlan(
             self,
             scheme="tls",

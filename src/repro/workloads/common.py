@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Generator, Sequence
 
-from repro.errors import ConfigurationError
 from repro.memory import PAGE_BYTES
 
 __all__ = [
@@ -27,27 +26,7 @@ __all__ = [
     "touch_pages",
     "page_addr",
     "with_commit_token",
-    "check_access",
-    "load_words",
-    "store_words",
 ]
-
-#: Memory-access variants a workload body can run under: ``paged`` is
-#: the benchmark's reference body (one representative access per page);
-#: ``word`` and ``block`` are the A/B pair for the batched access paths
-#: — both perform the *same simulated work* (same charges, wire bytes,
-#: and committed values), per-word vs. run-length, so comparing them
-#: isolates the host-level amortization of the block APIs.
-ACCESS_MODES = ("paged", "word", "block")
-
-
-def check_access(access: str) -> str:
-    """Validate a workload ``access`` mode."""
-    if access not in ACCESS_MODES:
-        raise ConfigurationError(
-            f"unknown access mode {access!r}; expected one of {ACCESS_MODES}"
-        )
-    return access
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -118,32 +97,3 @@ def touch_pages(ctx, base: int, page_indices: Sequence[int]) -> Generator:
         total += value if isinstance(value, (int, float)) else 0
     return total
 
-
-def load_words(ctx, base: int, count: int, access: str,
-               speculative: bool = False) -> Generator:
-    """Read ``count`` consecutive words under the chosen access mode.
-
-    The ``word`` leg issues ``count`` per-word loads; the ``block`` leg
-    one :meth:`load_block`.  Both charge identical simulated core time
-    and observe identical values — only the Python-level call count
-    differs.
-    """
-    if access == "block":
-        values = yield from ctx.load_block(base, count, speculative)
-        return list(values)
-    values = []
-    for offset in range(count):
-        value = yield from ctx.load(base + 8 * offset, speculative)
-        values.append(value)
-    return values
-
-
-def store_words(ctx, base: int, values, access: str,
-                forward=False) -> Generator:
-    """Write consecutive words under the chosen access mode (the store
-    counterpart of :func:`load_words`)."""
-    if access == "block":
-        yield from ctx.store_block(base, values, forward=forward)
-        return
-    for offset, value in enumerate(values):
-        yield from ctx.store(base + 8 * offset, value, forward=forward)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.core.config import PipelineConfig
 from repro.memory import PAGE_BYTES
 from repro.workloads.base import ParallelPlan, Workload
-from repro.workloads.common import check_access, load_words, mix_range, page_addr, touch_pages
+from repro.workloads.common import mix_range, touch_pages
 
 __all__ = ["Crc32"]
 
@@ -34,13 +34,9 @@ class Crc32(Workload):
     crc_cycles_per_page = 700_000
     #: Report cost in the sequential stage (cycles).
     report_cycles = 2_000
-    #: Words read per file page in the ``word``/``block`` access legs
-    #: (the ``fread`` of a page's contents, word-granular vs. batched).
-    read_words_per_page = 64
 
-    def __init__(self, iterations=48, misspec_iterations=None, access="paged"):
+    def __init__(self, iterations=48, misspec_iterations=None):
         super().__init__(iterations, misspec_iterations)
-        self.access = check_access(access)
         self._file_pages = [
             int(mix_range(i, self.min_file_pages, self.max_file_pages + 1, salt=4))
             for i in range(self.iterations)
@@ -64,20 +60,8 @@ class Crc32(Workload):
         i = ctx.iteration
         pages = self._file_pages[i]
         first = self._file_first_page[i]
-        if self.access == "paged":
-            # Block read: fread pulls the file through COA page by page.
-            seed = yield from touch_pages(ctx, self.files_base, range(first, first + pages))
-        else:
-            # A/B legs: read a run of words from every file page —
-            # per-word loads vs. one block load, identical simulated
-            # cost and values.
-            seed = 0
-            for page_index in range(first, first + pages):
-                values = yield from load_words(
-                    ctx, page_addr(self.files_base, page_index),
-                    self.read_words_per_page, self.access,
-                )
-                seed += sum(v for v in values if isinstance(v, (int, float)))
+        # Block read: fread pulls the file through COA page by page.
+        seed = yield from touch_pages(ctx, self.files_base, range(first, first + pages))
         if speculative:
             ctx.speculate(not self.injected_misspec(i), "CRC error assumed absent")
         ctx.compute(self.crc_cycles_per_page * pages)

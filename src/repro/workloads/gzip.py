@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.core.config import PipelineConfig
 from repro.memory import PAGE_BYTES, VersionedBuffer
 from repro.workloads.base import ParallelPlan, Workload
-from repro.workloads.common import check_access, store_words, touch_pages
+from repro.workloads.common import touch_pages
 
 __all__ = ["Gzip"]
 
@@ -45,14 +45,9 @@ class Gzip(Workload):
     write_cycles = 6_000
     #: Live versions of the block arrays (dynamic memory versioning).
     version_depth = 8
-    #: Scratch words of compressed output written into the block-array
-    #: version in the ``word``/``block`` access legs (the compressed
-    #: block's contents, per-word vs. batched).
-    output_words = 32
 
-    def __init__(self, iterations=1400, misspec_iterations=None, access="paged"):
+    def __init__(self, iterations=1400, misspec_iterations=None):
         super().__init__(iterations, misspec_iterations)
-        self.access = check_access(access)
 
     def build(self, uva, owner, store):
         self.file_base = uva.malloc_page_aligned(
@@ -76,18 +71,6 @@ class Gzip(Workload):
         digest = (seed * 2654435761) & 0xFFFFFFFF
         return digest
 
-    def _compressed_words(self, digest):
-        """The compressed block's scratch contents (word/block legs)."""
-        return [(digest + k) & 0xFFFFFFFF for k in range(self.output_words)]
-
-    def _write_scratch(self, ctx, iteration, digest):
-        """Write the compressed block into this MTX's version of the
-        block array — per-word stores vs. one block store."""
-        yield from store_words(
-            ctx, self.block_versions.element(iteration, 0),
-            self._compressed_words(digest), self.access, forward=False,
-        )
-
     # -- sequential semantics ----------------------------------------------------------
 
     def sequential_body(self, ctx):
@@ -95,8 +78,6 @@ class Gzip(Workload):
         ctx.compute(self.read_cycles)
         seed = yield from touch_pages(ctx, self.file_base, self._block_pages_of(i))
         digest = self._compress(ctx, seed + i)
-        if self.access != "paged":
-            yield from self._write_scratch(ctx, i, digest)
         ctx.compute(self.write_cycles)
         yield from ctx.store(self.output_base + 8 * i, digest)
 
@@ -120,10 +101,7 @@ class Gzip(Workload):
         seed = ctx.consume("block")
         digest = self._compress(ctx, seed)
         # Scratch state lives in this MTX's version of the block array.
-        if self.access != "paged":
-            yield from self._write_scratch(ctx, i, digest)
-        else:
-            yield from ctx.store(self.block_versions.element(i, 0), digest, forward=False)
+        yield from ctx.store(self.block_versions.element(i, 0), digest, forward=False)
         yield from ctx.produce("compressed", digest, nbytes=self.output_bytes)
 
     def _stage2(self, ctx):
@@ -164,11 +142,6 @@ class Gzip(Workload):
         yield from ctx.sync_send("outpos", position + self.output_bytes)
 
     def tls_plan(self):
-        if self.access != "paged":
-            from repro.errors import ConfigurationError
-            raise ConfigurationError(
-                "the word/block access legs exist for the DSMTX plan only"
-            )
         return ParallelPlan(
             self,
             scheme="tls",

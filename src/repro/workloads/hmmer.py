@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.core.config import PipelineConfig
 from repro.memory import PAGE_BYTES
 from repro.workloads.base import ParallelPlan, Workload
-from repro.workloads.common import check_access, load_words, mix_range, store_words, touch_pages
+from repro.workloads.common import mix_range, touch_pages
 
 __all__ = ["Hmmer"]
 
@@ -37,14 +37,9 @@ class Hmmer(Workload):
     histogram_cycles = 800
     #: Pages of HMM model tables every worker reads.
     model_pages = 2
-    #: Sequences scored per iteration in the ``word``/``block`` access
-    #: legs: the histogram stage then reads and rewrites the whole
-    #: 64-bin histogram per iteration — per-word vs. batched.
-    seqs_per_iteration = 16
 
-    def __init__(self, iterations=2560, misspec_iterations=None, access="paged"):
+    def __init__(self, iterations=2560, misspec_iterations=None):
         super().__init__(iterations, misspec_iterations)
-        self.access = check_access(access)
 
     def build(self, uva, owner, store):
         self.model_base = uva.malloc_page_aligned(
@@ -73,46 +68,9 @@ class Hmmer(Workload):
             # Max-reduction: only the new maximum is written back.
             yield from ctx.store(self.max_addr, score, forward=False)
 
-    # -- word/block access legs (A/B pair for the batched access paths) ---------------
-
-    def _scores_batch(self, ctx, speculative: bool):
-        """Score ``seqs_per_iteration`` sequences; identical charges and
-        values in the ``word`` and ``block`` legs."""
-        i = ctx.iteration
-        bias = yield from touch_pages(ctx, self.model_base, [i % self.model_pages])
-        if speculative:
-            ctx.speculate(not self.injected_misspec(i), "sequence error")
-        if self.access == "block":
-            ctx.compute_batch(self.score_cycles, self.seqs_per_iteration)
-        else:
-            for _ in range(self.seqs_per_iteration):
-                ctx.compute(self.score_cycles)
-        return [
-            int(mix_range(i * self.seqs_per_iteration + j, 0, 1000) + bias)
-            for j in range(self.seqs_per_iteration)
-        ]
-
-    def _histogram_fold_batch(self, ctx, scores):
-        """Read-modify-write the whole histogram plus the running max —
-        ``word``: 64 loads + 64 stores; ``block``: one load_block + one
-        store_block.  Same simulated cost, same committed values."""
-        ctx.compute(self.histogram_cycles * len(scores))
-        hist = yield from load_words(ctx, self.hist_base, BINS, self.access)
-        best = yield from ctx.load(self.max_addr)
-        for score in scores:
-            hist[score % BINS] += 1
-            if score > best:
-                best = score
-        yield from store_words(ctx, self.hist_base, hist, self.access, forward=False)
-        yield from ctx.store(self.max_addr, best, forward=False)
-
     # -- sequential semantics ----------------------------------------------------------
 
     def sequential_body(self, ctx):
-        if self.access != "paged":
-            scores = yield from self._scores_batch(ctx, speculative=False)
-            yield from self._histogram_fold_batch(ctx, scores)
-            return
         i = ctx.iteration
         bias = yield from touch_pages(ctx, self.model_base, [i % self.model_pages])
         ctx.compute(self.score_cycles)
@@ -122,18 +80,10 @@ class Hmmer(Workload):
     # -- Spec-DSWP plan -------------------------------------------------------------------
 
     def _stage0(self, ctx):
-        if self.access != "paged":
-            scores = yield from self._scores_batch(ctx, speculative=True)
-            yield from ctx.produce("scores", tuple(scores))
-            return
         score = yield from self._score(ctx)
         yield from ctx.produce("score", score)
 
     def _stage1(self, ctx):
-        if self.access != "paged":
-            scores = ctx.consume("scores")
-            yield from self._histogram_fold_batch(ctx, scores)
-            return
         score = ctx.consume("score")
         yield from self._histogram_update(ctx, score)
 
@@ -174,11 +124,6 @@ class Hmmer(Workload):
         yield from ctx.sync_send("hist", hist)
 
     def tls_plan(self):
-        if self.access != "paged":
-            from repro.errors import ConfigurationError
-            raise ConfigurationError(
-                "the word/block access legs exist for the DSMTX plan only"
-            )
         return ParallelPlan(
             self,
             scheme="tls",

@@ -24,6 +24,8 @@ Every episode is seed-deterministic: the same plan reproduces the
 same run digest, corruption and repair included.
 """
 
+import os
+import sys
 import zlib
 
 import pytest
@@ -36,11 +38,12 @@ from repro.chaos import (
     NodeCrash,
     StateCorruption,
 )
-from repro.core import DSMTXSystem, SystemConfig
+from repro.core import DSMTXSystem, SystemConfig, integrity
 from repro.core.config import PipelineConfig
 from repro.core.integrity import page_digest, payload_checksum
 from repro.errors import ClusterFailedError
 from repro.memory import Page
+from repro.workloads import Crc32
 from repro.workloads.base import ParallelPlan
 from tests.core.toys import ToyDoall
 
@@ -324,6 +327,42 @@ def test_integrity_off_leaves_no_integrity_state():
     assert stats.ft_corruptions_unrepairable == 0
     assert stats.ft_scrub_rounds == 0
     assert stats.ft_scrub_pages == 0
+
+
+def integrity_calls(fn):
+    """Run ``fn()`` under a profiler; return its result and the names of
+    the functions in :mod:`repro.core.integrity` it entered."""
+    target = os.path.abspath(integrity.__file__)
+    entered = set()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename == target:
+            entered.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, entered
+
+
+def test_integrity_off_runs_no_integrity_code():
+    # The profiler sees integrity code when it runs...
+    _, entered = integrity_calls(lambda: payload_checksum(("W", 8, 1)))
+    assert "payload_checksum" in entered
+
+    # ... and an FT crc32 job with a commit standby but integrity off
+    # calls none of it, neither while building nor while running.
+    def job():
+        config = SystemConfig(total_cores=8, fault_tolerance=True,
+                              commit_replication=True, placement="spread",
+                              integrity=False)
+        return DSMTXSystem(Crc32(iterations=48).dsmtx_plan(), config).run()
+
+    result, entered = integrity_calls(job)
+    assert result.stats.committed_mtxs == 48
+    assert entered == set()
 
 
 def test_plain_ft_run_is_untouched_by_the_feature():

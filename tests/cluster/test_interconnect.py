@@ -1,8 +1,10 @@
-"""Unit tests for the wire-level interconnect model."""
+"""Unit tests for the wire-level interconnect model, driven through
+:meth:`MPI.send`, which runs the NIC model for every message."""
 
 import pytest
 
-from repro.cluster import ClusterSpec, Interconnect, Machine
+from repro.cluster import MPI, ClusterSpec, Interconnect, Machine, MPIVariant
+from repro.cluster.mpi import ENVELOPE_BYTES
 from repro.sim import Environment
 
 
@@ -10,108 +12,130 @@ def make_net(**spec_kwargs):
     env = Environment()
     spec = ClusterSpec(nodes=2, cores_per_node=2, **spec_kwargs)
     machine = Machine(env, spec)
-    return env, machine, Interconnect(env, machine)
+    net = Interconnect(env, machine)
+    return env, machine, net, MPI(env, machine, net)
+
+
+def send_overhead(machine):
+    """Sender-side MPI_Send software cost, in seconds."""
+    spec = machine.spec
+    return spec.instructions_to_seconds(spec.mpi_variant_sender_instructions[MPIVariant.SEND])
+
+
+def receiver(env, mpi, src, dst, log, count=1):
+    """Block on the (src, dst) mailbox; log each payload's arrival time."""
+    box = mpi.mailbox(src, dst)
+    for _ in range(count):
+        payload = yield box.get()
+        log.append((payload, env.now))
 
 
 def test_blocking_transfer_time_inter_node():
-    env, _machine, net = make_net(
+    env, machine, _net, mpi = make_net(
         inter_node_latency_s=1e-3, inter_node_bandwidth_bps=1e6
     )
-    done = []
-
-    def proc():
-        yield from net.send_blocking(0, 2, 1000)  # cores on different nodes
-        done.append(env.now)
-
-    env.process(proc())
+    arrivals = []
+    env.process(mpi.send(0, 2, "x", 1000))  # cores on different nodes
+    env.process(receiver(env, mpi, 0, 2, arrivals))
     env.run()
-    # 2 x serialization (1000B / 1e6Bps = 1 ms each) + 1 ms latency.
-    assert done == [pytest.approx(3e-3)]
+    # Send overhead + 2 x serialization (1032B / 1e6Bps, tx and rx NIC)
+    # + 1 ms latency.
+    serialization = (1000 + ENVELOPE_BYTES) / 1e6
+    assert arrivals == [("x", pytest.approx(send_overhead(machine) + 2 * serialization + 1e-3))]
 
 
 def test_blocking_transfer_time_intra_node():
-    env, _machine, net = make_net(
+    env, machine, _net, mpi = make_net(
         intra_node_latency_s=1e-4, intra_node_bandwidth_bps=1e6
     )
-    done = []
-
-    def proc():
-        yield from net.send_blocking(0, 1, 1000)  # same node
-        done.append(env.now)
-
-    env.process(proc())
+    arrivals = []
+    env.process(mpi.send(0, 1, "x", 1000))  # same node
+    env.process(receiver(env, mpi, 0, 1, arrivals))
     env.run()
-    assert done == [pytest.approx(1e-3 + 1e-4)]
+    # Intra-node: one memcpy on the sender, no NIC on either side.
+    memcpy = (1000 + ENVELOPE_BYTES) / 1e6
+    assert arrivals == [("x", pytest.approx(send_overhead(machine) + memcpy + 1e-4))]
 
 
 def test_eager_send_returns_after_transmit():
-    env, _machine, net = make_net(
+    env, machine, _net, mpi = make_net(
         inter_node_latency_s=1e-3, inter_node_bandwidth_bps=1e6
     )
     log = []
 
-    def proc():
-        yield from net.send(0, 2, 1000, deliver=lambda: log.append(("delivered", env.now)))
+    def sender():
+        yield from mpi.send(0, 2, "delivered", 1000)
         log.append(("returned", env.now))
 
-    env.process(proc())
+    env.process(sender())
+    env.process(receiver(env, mpi, 0, 2, log))
     env.run()
-    assert ("returned", pytest.approx(1e-3)) in log
-    assert ("delivered", pytest.approx(3e-3)) in log
+    serialization = (1000 + ENVELOPE_BYTES) / 1e6
+    overhead = send_overhead(machine)
+    assert ("returned", pytest.approx(overhead + serialization)) in log
+    assert ("delivered", pytest.approx(overhead + 2 * serialization + 1e-3)) in log
 
 
 def test_nic_contention_serializes_senders():
-    env, _machine, net = make_net(
+    env, machine, _net, mpi = make_net(
         inter_node_latency_s=0.0, inter_node_bandwidth_bps=1e6
     )
-    finished = []
-
-    def sender(name):
-        yield from net.send_blocking(0, 2, 1000)
-        finished.append((name, env.now))
-
-    env.process(sender("a"))
-    env.process(sender("b"))
+    arrivals = []
+    # Cores 0 and 1 share node 0's TX NIC; cores 2 and 3 node 1's RX NIC.
+    env.process(mpi.send(0, 2, "a", 1000))
+    env.process(mpi.send(1, 3, "b", 1000))
+    env.process(receiver(env, mpi, 0, 2, arrivals))
+    env.process(receiver(env, mpi, 1, 3, arrivals))
     env.run()
-    times = sorted(t for _name, t in finished)
-    # Transmissions serialize on the node-0 TX NIC: 1 ms apart at the source.
-    assert times[0] == pytest.approx(2e-3)
-    assert times[1] == pytest.approx(3e-3)
+    times = sorted(t for _payload, t in arrivals)
+    # Transmissions serialize on the node-0 TX NIC: one serialization
+    # apart at the source, and again at the node-1 RX NIC.
+    serialization = (1000 + ENVELOPE_BYTES) / 1e6
+    overhead = send_overhead(machine)
+    assert times[0] == pytest.approx(overhead + 2 * serialization)
+    assert times[1] == pytest.approx(overhead + 3 * serialization)
 
 
 def test_stats_accumulate():
-    env, _machine, net = make_net()
+    env, _machine, net, mpi = make_net()
 
-    def proc():
-        yield from net.send_blocking(0, 2, 100)
-        yield from net.send_blocking(0, 1, 50)
+    def sender():
+        yield from mpi.send(0, 2, "inter", 100)
+        yield from mpi.send(0, 1, "intra", 50)
 
-    env.process(proc())
+    env.process(sender())
     env.run()
+    inter, intra = 100 + ENVELOPE_BYTES, 50 + ENVELOPE_BYTES
     assert net.stats.total_messages == 2
-    assert net.stats.total_bytes == 150
-    assert net.stats.inter_node_bytes == 100
-    assert net.stats.intra_node_bytes == 50
+    assert net.stats.total_bytes == inter + intra
+    assert net.stats.inter_node_bytes == inter
+    assert net.stats.intra_node_bytes == intra
     snap = net.stats.snapshot()
-    assert snap["total_bytes"] == 150
+    assert snap["total_bytes"] == inter + intra
 
 
 def test_negative_size_rejected():
-    _env, _machine, net = make_net()
-    with pytest.raises(ValueError):
-        list(net.send(0, 2, -1))
-    with pytest.raises(ValueError):
-        list(net.send_blocking(0, 2, -1))
+    # A payload of -1 bytes plus the envelope is still a positive wire
+    # size; the payload itself is rejected, before the send overhead is
+    # charged or anything reaches the wire.
+    _env, machine, net, mpi = make_net()
+    for dst in (2, 1):  # inter-node, intra-node
+        with pytest.raises(ValueError):
+            next(mpi.send(0, dst, "x", -1))
+    assert machine.core(0).busy_cycles == 0
+    assert mpi.sent_count[MPIVariant.SEND] == 0
+    assert net.stats.total_messages == 0
 
 
 def test_fifo_delivery_same_pair():
-    env, _machine, net = make_net(inter_node_latency_s=1e-3)
+    env, _machine, _net, mpi = make_net(inter_node_latency_s=1e-3)
     arrivals = []
 
-    def proc():
+    def sender():
         for i in range(3):
-            yield from net.send(0, 2, 100, deliver=lambda i=i: arrivals.append(i))
+            yield from mpi.send(0, 2, i, 100)
 
-    env.process(proc())
+    env.process(sender())
+    env.process(receiver(env, mpi, 0, 2, arrivals, count=3))
     env.run()
-    assert arrivals == [0, 1, 2]
+    assert [payload for payload, _t in arrivals] == [0, 1, 2]

@@ -1,8 +1,8 @@
 """Batch-access correctness: block APIs vs. a per-word reference model.
 
-The block primitives (``write_block``/``read_block``/``dirty_words``/
-``extract_blocks``/``apply_entries``) must be indistinguishable from the
-per-word API they amortize.  The property tests here drive arbitrary
+The batch primitives (``write_block``/``read_block``/``dirty_words``/
+``extract_blocks``/``apply_blocks``/``apply_entries``) must be
+indistinguishable from the per-word API they amortize.  The property tests here drive arbitrary
 interleavings of both against a plain-dict reference model — including
 page-boundary-straddling blocks and recovery (``reprotect_all``) in the
 middle — and the negative-address regressions pin the up-front
@@ -165,25 +165,29 @@ def test_apply_writes_rejects_negative_addresses_atomically():
 def test_apply_entries_rejects_negative_addresses_atomically():
     space = AddressSpace("atomic2")
     with pytest.raises(UnmappedAddressError):
-        space.apply_entries([("W", 0, "a"), ("WB", -16, ("b", "c"))])
+        space.apply_entries([("W", 0, "a"), ("W", -16, "b"), ("W", 8, "c")])
     assert not space.pages
 
 
 # -- apply_entries semantics ------------------------------------------------------
 
 
-def test_apply_entries_mixes_word_and_block_records_last_wins():
+def test_apply_entries_applies_records_last_wins():
     space = AddressSpace("entries")
     words = space.apply_entries([
         ("W", 0, "old"),
-        ("WB", 0, ("a", "b", "c")),
+        ("W", 0, "a"),
         ("W", 8, "mid"),
-        ("WB", 8, ("final",)),
+        ("W", 16, "c"),
+        ("W", 8, "final", 4096),  # a 4th element prices the wire only
+        ("W", 4096, "next"),
     ])
     assert words == 6
     assert space.read_block(0, 3) == ["a", "final", "c"]
+    assert space.read(4096) == "next"
     # One version bump per touched page, not per entry.
     assert space.pages[0].version == 1
+    assert space.pages[1].version == 1
 
 
 def test_apply_entries_kind_strings_match_runtime_messages():
@@ -193,16 +197,6 @@ def test_apply_entries_kind_strings_match_runtime_messages():
     from repro.memory import address_space
 
     assert address_space._ENTRY_WRITE == messages.WRITE
-    assert address_space._ENTRY_WRITE_BLOCK == messages.WRITE_BLOCK
-
-
-def test_entry_bytes_prices_blocks_per_word():
-    from repro.core.messages import (
-        ENTRY_BYTES, READ_BLOCK, WRITE_BLOCK, entry_bytes,
-    )
-
-    assert entry_bytes((WRITE_BLOCK, 0, (1, 2, 3))) == 3 * ENTRY_BYTES
-    assert entry_bytes((READ_BLOCK, 0, (1,) * 7)) == 7 * ENTRY_BYTES
 
 
 # -- dirty counter and page-order cache -------------------------------------------

@@ -72,7 +72,9 @@ WRITE_PATHS = {
     "apply_writes": (lambda s: s.apply_writes([(PAGE_BYTES + 24, 7)]), {1}),
     "apply_blocks": (lambda s: s.apply_blocks([(PAGE_BYTES - 16, [5, 6, 7, 8])]), {0, 1}),
     "apply_entries": (
-        lambda s: s.apply_entries([("W", 8, 7), ("WB", PAGE_BYTES + 32, [8, 9])]),
+        lambda s: s.apply_entries(
+            [("W", 8, 7), ("W", PAGE_BYTES + 32, 8), ("W", PAGE_BYTES + 40, 9)]
+        ),
         {0, 1},
     ),
 }
