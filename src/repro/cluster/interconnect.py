@@ -2,14 +2,23 @@
 
 Transfers between cores pay three costs:
 
-1. **transmit serialization** — ``nbytes / bandwidth`` while holding the
-   sender node's NIC transmit resource (so concurrent senders on one
-   node contend, which is what makes bandwidth-hungry applications such
-   as 164.gzip plateau in Figures 4/5a);
+1. **transmit serialization** — ``nbytes / bandwidth`` on the sender
+   node's NIC transmit side, a single FIFO server (so concurrent senders
+   on one node contend, which is what makes bandwidth-hungry
+   applications such as 164.gzip plateau in Figures 4/5a);
 2. **propagation latency** — a one-way delay occupying neither NIC
    (messages pipeline through the network);
-3. **receive serialization** — ``nbytes / bandwidth`` holding the
-   receiver node's NIC receive resource.
+3. **receive serialization** — ``nbytes / bandwidth`` on the receiver
+   node's NIC receive side, likewise a FIFO server.
+
+Each NIC side is a one-slot :class:`~repro.sim.resources.Resource`.  A
+free NIC is taken synchronously with ``acquire_nowait()``, at no event
+cost; a busy one queues FIFO on ``request()`` and is handed on by
+``release()``.  The grant chain is kept for that contended case, rather
+than a ``free_at`` clock per NIC, because it fixes the order of
+same-instant hand-offs: when two NICs drain at the same float time, the
+next holders resume in release order, and the Fig. 6 results depend on
+that order.
 
 Intra-node transfers use the shared-memory parameters of the
 :class:`~repro.cluster.spec.ClusterSpec` and skip NIC contention (the
@@ -65,7 +74,9 @@ class _Delivery:
 
     :meth:`~repro.cluster.mpi.MPI.send` starts one per message after its
     transmit phase: the propagation latency, then (inter-node) the
-    receiver's NIC grant and receive serialization, then the hand-off.
+    receiver's NIC and receive serialization, then the hand-off.  A free
+    receive NIC is taken on arrival, with no event; a busy one queues
+    the message FIFO behind the ones already waiting for it.
     A callback chain instead of a process saves the Initialize event,
     the generator frame and the process-completion event.  With a
     (``mailbox``, ``payload``) destination the hand-off is a
@@ -107,18 +118,24 @@ class _Delivery:
             self._finish()
             return
         node.bytes_received += self.nbytes
-        rx = node.nic_rx.request()
-        self._rx = rx
+        nic_rx = node.nic_rx
+        rx = nic_rx.acquire_nowait()
+        if rx is not None:
+            self._rx = rx
+            self._after_rx_grant(None)
+            return
+        # Busy NIC: queue FIFO behind the messages ahead of this one.
+        self._rx = rx = nic_rx.request()
         rx.callbacks.append(self._after_rx_grant)
 
-    def _after_rx_grant(self, _event: Event) -> None:
+    def _after_rx_grant(self, _event: Optional[Event]) -> None:
         serialization = self.nbytes / self.bandwidth
         if serialization > 0:
             self.env.sleep(serialization).callbacks.append(self._after_serialization)
         else:
             self._after_serialization(_event)
 
-    def _after_serialization(self, _event: Event) -> None:
+    def _after_serialization(self, _event: Optional[Event]) -> None:
         self.dst_node.nic_rx.release(self._rx)
         self._finish()
 

@@ -84,13 +84,17 @@ class MPI:
             raise CommunicationError(f"send to self (rank {src_rank}) is not supported")
         if nbytes < 0:
             raise ValueError(f"negative payload size: {nbytes}")
-        if dst_rank < 0:
-            raise IndexError(f"core index out of range: {src_rank}, {dst_rank}")
+        if not 0 <= dst_rank < self.spec.total_cores:
+            raise IndexError(
+                f"send from rank {src_rank} to rank {dst_rank}: destination "
+                f"out of range for {self.spec.total_cores} cores"
+            )
         obs = self.env.obs
         start = self.env.now if obs is not None else 0.0
-        core = self.machine.core(src_rank)
-        yield from core.drain()
-        yield core.compute(self._variant_cycles[variant])
+        # Pending deferred work and the send overhead, as one wake-up.
+        yield self.machine.core(src_rank).drain_then_compute(
+            self._variant_cycles[variant]
+        )
         self.sent_count[variant] += 1
         box = mailbox if mailbox is not None else self.mailbox(src_rank, dst_rank, tag)
         # Transmit phase: NIC tx contention and serialization (inter-node)
@@ -123,14 +127,18 @@ class MPI:
                     verdict = 0
             src_node = ic._node_of[src_rank]
             src_node.bytes_sent += wire_bytes
-            tx = src_node.nic_tx.request()
-            yield tx
+            nic_tx = src_node.nic_tx
+            tx = nic_tx.acquire_nowait()
+            if tx is None:
+                # Busy NIC: queue FIFO behind the senders ahead of us.
+                tx = nic_tx.request()
+                yield tx
             try:
                 serialization = wire_bytes / bandwidth
                 if serialization > 0:
                     yield self.env.sleep(serialization)
             finally:
-                src_node.nic_tx.release(tx)
+                nic_tx.release(tx)
             dst_node = ic._node_of[dst_rank]
         else:
             stats.intra_node_bytes += wire_bytes
@@ -164,17 +172,33 @@ class MPI:
         """
         obs = self.env.obs
         start = self.env.now if obs is not None else 0.0
-        core = self.machine.core(dst_rank)
-        yield from core.drain()
-        box = self.mailbox(src_rank, dst_rank, tag)
-        payload = yield box.get()
-        yield core.compute(self._recv_cycles)
+        payload = yield from self.recv_from(
+            dst_rank, self.mailbox(src_rank, dst_rank, tag)
+        )
         if obs is not None:
             obs.tracer.complete(
                 CAT_MPI_RECV, "MPI_Recv", PID_CLUSTER, dst_rank, start,
                 src=src_rank,
             )
             obs.metrics.counter("mpi.recvs").inc()
+        return payload
+
+    def recv_from(self, dst_rank: int, box: Store) -> Generator[Event, Any, Any]:
+        """Take the next item of ``box`` at rank ``dst_rank``, priced as
+        an ``MPI_Recv``: drain deferred work, take the item (a waiting
+        one without an event), then pay the receive overhead.
+
+        The pricing behind :meth:`recv`, also used for stores that are
+        not per-(src, dst, tag) mailboxes, such as a unit's multiplexed
+        inbox.
+        """
+        core = self.machine.core(dst_rank)
+        yield from core.drain()
+        if box.items:
+            payload = box.try_get()[1]
+        else:
+            payload = yield box.get()
+        yield core.compute(self._recv_cycles)
         return payload
 
     def try_recv(self, dst_rank: int, src_rank: int, tag: Any = 0) -> tuple[bool, Any]:

@@ -30,8 +30,6 @@ class Core:
         self.spec = spec
         self.index = index
         self.node_index = spec.node_of_core(index)
-        #: Exclusive-use resource; one slot because a core runs one thread.
-        self.resource = Resource(env, capacity=1)
         #: Cycles of deferred (not yet realized) bookkeeping work.
         self.pending_cycles = 0.0
         #: Total busy cycles, realized + pending, for utilization stats.
@@ -82,6 +80,23 @@ class Core:
             cycles, self.pending_cycles = self.pending_cycles, 0.0
             return (self.env.sleep(cycles / self._clock_hz),)
         return ()
+
+    def drain_then_compute(self, cycles: float) -> Event:
+        """One wake-up realizing the pending cycles, then ``cycles`` more.
+
+        It fires at ``(now + pending) + cycles``, the float instant that
+        ``drain()`` followed by ``compute(cycles)`` reaches, with one
+        event instead of two.
+        """
+        if cycles < 0:
+            raise ValueError(f"negative cycle count: {cycles}")
+        self.busy_cycles += cycles
+        clock_hz = self._clock_hz
+        when = self.env._now
+        if self.pending_cycles > 0.0:
+            pending, self.pending_cycles = self.pending_cycles, 0.0
+            when += pending / clock_hz
+        return self.env.sleep_until(when + cycles / clock_hz)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Core {self.index} on node {self.node_index}>"

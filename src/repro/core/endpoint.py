@@ -73,13 +73,18 @@ class Endpoint:
         # Evaluate readiness only *after* realizing deferred work: the
         # recovery flush may have emptied the inbox meanwhile, and
         # blocking on it then would hang past the rollback.
-        ready = len(self.inbox.items) > 0
+        inbox = self.inbox
+        ready = len(inbox.items) > 0
         state = self._state
         if check_state and not ready and (state.in_recovery or state.done):
             raise RecoveryAbort("system state changed while draining")
         obs = self.system.obs
         start = self.system.env.now if obs is not None else 0.0
-        envelope = yield self.inbox.get()
+        if ready:
+            # A waiting envelope is taken without an event.
+            envelope = inbox.try_get()[1]
+        else:
+            envelope = yield inbox.get()
         core.charge_cycles(self._recv_ready_cycles if ready else self._recv_blocked_cycles)
         if obs is not None:
             if not ready:

@@ -65,7 +65,8 @@ class RuntimeQueue:
         config = system.config
         self._batch_bytes = config.effective_batch_bytes
         self._credits = Resource(system.env, capacity=config.max_inflight_batches)
-        self._outstanding_credits: dict[int, Event] = {}
+        #: Credit holders (request events or nowait tokens) by credit id.
+        self._outstanding_credits: dict[int, object] = {}
         self._next_credit_id = 0
         self._buffer: list[tuple] = []
         self._buffer_bytes = 0
@@ -149,13 +150,16 @@ class RuntimeQueue:
         # stall the section 5.4 trade-off is about.
         obs = self.system.obs
         start = self.system.env.now if obs is not None else 0.0
-        credit = self._credits.request()
-        yield credit
-        if self.retired:
-            # Retired while blocked on flow control (the declaration of
-            # the consumer's death released the credits): wake and drop.
-            self._credits.release(credit)
-            return
+        credits = self._credits
+        credit = credits.acquire_nowait()
+        if credit is None:
+            credit = credits.request()
+            yield credit
+            if self.retired:
+                # Retired while blocked on flow control (the declaration
+                # of the consumer's death released the credits): drop.
+                credits.release(credit)
+                return
         credit_id = self._next_credit_id
         self._next_credit_id += 1
         self._outstanding_credits[credit_id] = credit

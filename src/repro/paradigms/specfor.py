@@ -817,13 +817,9 @@ class SpecForSystem:
         )
 
     def _ft_recv(self, tid: int):
-        """Blocking receive from a unit's multiplexed inbox, priced like
-        :meth:`repro.cluster.mpi.MPI.recv`."""
-        core = self.core_of(tid)
-        yield from core.drain()
-        payload = yield self._inboxes[tid].get()
-        yield core.compute(self.mpi._recv_cycles)
-        return payload
+        """Blocking receive from a unit's multiplexed inbox, priced by
+        :meth:`repro.cluster.mpi.MPI.recv_from` like an ``MPI_Recv``."""
+        return self.mpi.recv_from(self._core_indices[tid], self._inboxes[tid])
 
     def _ft_note_failures(self, engine, in_flight: int) -> bool:
         """Consume pending node-failure declarations (service side).

@@ -349,6 +349,29 @@ class Environment:
         heappush(self._queue, (self._now + delay, eid + _P1, timeout))
         return timeout
 
+    def sleep_until(self, when: float) -> Timeout:
+        """A bare timeout that fires at the absolute time ``when``.
+
+        Fuses back-to-back waits into one event:
+        ``sleep_until((now + a) + b)`` fires at the very float instant
+        that ``sleep(a)`` followed by ``sleep(b)`` reaches.  Among events
+        of the same time it keeps FIFO order by creation, like
+        :meth:`sleep`.
+        """
+        now = self._now
+        if when < now:
+            raise ValueError(f"sleep_until({when!r}) is in the past (now={now!r})")
+        timeout = Timeout.__new__(Timeout)
+        timeout.env = self
+        timeout.callbacks = []
+        timeout._value = None
+        timeout._ok = True
+        timeout._defused = True
+        timeout.delay = when - now
+        self._eid = eid = self._eid + 1
+        heappush(self._queue, (when, eid + _P1, timeout))
+        return timeout
+
     def process(
         self, generator: Generator[Event, Any, Any], name: Optional[str] = None
     ) -> Process:

@@ -2,8 +2,8 @@
 
 Three primitives cover everything the cluster and runtime layers need:
 
-* :class:`Resource` — a counted resource (e.g. a CPU core) granting
-  exclusive slots in FIFO order.
+* :class:`Resource` — a counted resource (a NIC side, a queue's
+  flow-control credits) granting exclusive slots in FIFO order.
 * :class:`Store` — an unbounded-or-bounded FIFO of items with blocking
   ``put``/``get``; the basis of message queues.
 * :class:`Barrier` — an N-party synchronization barrier, used by the
@@ -13,7 +13,7 @@ Three primitives cover everything the cluster and runtime layers need:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Any, Deque, Optional
 
 from repro.errors import ChannelFlushedError, SimulationError
 from repro.sim.engine import Environment, Event
@@ -26,12 +26,19 @@ class Resource:
 
     Usage from a process::
 
-        request = resource.request()
-        yield request
+        holder = resource.acquire_nowait()
+        if holder is None:
+            holder = resource.request()
+            yield holder
         try:
             ...  # hold the resource
         finally:
-            resource.release(request)
+            resource.release(holder)
+
+    A free slot is taken synchronously, with no event; only a full
+    resource makes the caller wait, in FIFO order, on a ``request()``
+    event.  Plain ``yield resource.request()`` also works and takes one
+    trip through the event queue even when a slot is free.
     """
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
@@ -39,7 +46,8 @@ class Resource:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self._users: set[Event] = set()
+        #: Holders of a slot: granted request events and nowait tokens.
+        self._users: set[object] = set()
         self._waiting: Deque[Event] = deque()
 
     @property
@@ -52,6 +60,21 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._waiting)
 
+    def acquire_nowait(self) -> Optional[object]:
+        """Take a free slot now, without an event.
+
+        Returns a holder token that :meth:`release` accepts, or ``None``
+        when every slot is held.  A free slot means nobody is waiting
+        (a release hands its slot straight to the oldest waiter), so
+        this never jumps the FIFO queue of :meth:`request`.
+        """
+        users = self._users
+        if len(users) < self.capacity:
+            token = object()
+            users.add(token)
+            return token
+        return None
+
     def request(self) -> Event:
         """Return an event that succeeds when a slot is granted."""
         if len(self._users) < self.capacity:
@@ -62,8 +85,9 @@ class Resource:
             self._waiting.append(request)
         return request
 
-    def release(self, request: Event) -> None:
-        """Release the slot held by ``request``."""
+    def release(self, request: object) -> None:
+        """Release the slot held by ``request`` (a request event or an
+        :meth:`acquire_nowait` token)."""
         users = self._users
         try:
             users.remove(request)

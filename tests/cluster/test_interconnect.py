@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import MPI, ClusterSpec, Interconnect, Machine, MPIVariant
 from repro.cluster.mpi import ENVELOPE_BYTES
-from repro.sim import Environment
+from repro.sim import Environment, Store
 
 
 def make_net(**spec_kwargs):
@@ -125,6 +125,66 @@ def test_negative_size_rejected():
     assert machine.core(0).busy_cycles == 0
     assert mpi.sent_count[MPIVariant.SEND] == 0
     assert net.stats.total_messages == 0
+
+
+def test_out_of_range_destination_rejected():
+    # A destination past the last core (or below the first) fails before
+    # the send overhead is charged or anything reaches the wire, with a
+    # message that names both ranks.
+    _env, machine, net, mpi = make_net()
+    for dst in (4, -1):
+        with pytest.raises(IndexError, match=f"rank 0 to rank {dst}"):
+            next(mpi.send(0, dst, "x", 10))
+    assert machine.core(0).busy_cycles == 0
+    assert mpi.sent_count[MPIVariant.SEND] == 0
+    assert net.stats.total_messages == 0
+
+
+def test_nic_queues_are_exact_fifo_float_chains():
+    # Three senders share node 0's TX NIC and one sender sits on node 1;
+    # all four messages meet at node 2's RX NIC.  Every time is compared
+    # with ==, against the float chain the model must produce: an ulp of
+    # drift would move the golden digests.
+    env = Environment()
+    latency, bandwidth = 2e-6, 1e8
+    spec = ClusterSpec(
+        nodes=3, cores_per_node=3,
+        inter_node_latency_s=latency, inter_node_bandwidth_bps=bandwidth,
+    )
+    machine = Machine(env, spec)
+    mpi = MPI(env, machine, Interconnect(env, machine))
+    inbox = Store(env)
+    sizes = {"A": 968, "B": 968, "C": 968, "D": 1468}  # wire: 1000, 1500 B
+    ranks = {"A": 0, "B": 1, "C": 2, "D": 3}  # node 0: A, B, C; node 1: D
+    returned, arrivals = {}, []
+
+    def sender(name):
+        yield from mpi.send(ranks[name], 6, name, sizes[name], mailbox=inbox)
+        returned[name] = env.now
+
+    def receiver():
+        for _ in sizes:
+            payload = yield inbox.get()
+            arrivals.append((payload, env.now))
+
+    for name in sizes:
+        env.process(sender(name))
+    env.process(receiver())
+    env.run()
+
+    cycles = spec.mpi_variant_sender_instructions[MPIVariant.SEND] / spec.instructions_per_cycle
+    o = cycles / spec.clock_hz
+    s = (968 + ENVELOPE_BYTES) / bandwidth
+    t = (1468 + ENVELOPE_BYTES) / bandwidth
+    # TX: A, B, C back to back on node 0; D alone on node 1.
+    assert returned == {"A": o + s, "B": (o + s) + s, "C": ((o + s) + s) + s, "D": o + t}
+    # RX: A arrives first and finds the NIC free.  D arrives while A is
+    # on the NIC, B and C after D, so the FIFO grant order is A, D, B, C.
+    a_done = ((o + s) + latency) + s
+    d_done = a_done + t
+    b_done = d_done + s
+    c_done = b_done + s
+    assert arrivals == [("A", a_done), ("D", d_done), ("B", b_done), ("C", c_done)]
 
 
 def test_fifo_delivery_same_pair():

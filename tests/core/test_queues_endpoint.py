@@ -11,6 +11,7 @@ from repro.core.messages import (
     END_SUBTX,
     entry_bytes,
 )
+from repro.sim import Store
 from tests.core.toys import ToyDoall
 
 
@@ -190,6 +191,25 @@ def test_endpoint_arrival_order_routing():
     )
     kinds = [record[0] for record in endpoint.pending_messages]
     assert kinds == ["batch", "ctl"]
+
+
+def test_endpoint_ready_recv_admits_a_blocked_putter():
+    # A waiting envelope is taken without an event, and taking it moves
+    # the oldest blocked put into the store, exactly as Store.get() does.
+    system = make_system()
+    endpoint = system.endpoint_of_unit(0)
+    endpoint.inbox = Store(system.env, capacity=1)
+    first = ControlEnvelope("x", 0, 1, "first")
+    second = ControlEnvelope("x", 0, 1, "second")
+    endpoint.inbox.put_nowait(first)
+    blocked_put = endpoint.inbox.put(second)
+    assert not blocked_put.triggered
+    assert endpoint._core.pending_cycles == 0.0
+    with pytest.raises(StopIteration) as done:
+        next(endpoint._recv_one())  # returns without yielding an event
+    assert done.value.value is first
+    assert blocked_put.triggered
+    assert list(endpoint.inbox.items) == [second]
 
 
 def test_endpoint_clear_counts():

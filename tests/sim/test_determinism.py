@@ -10,14 +10,23 @@ digests recorded from the pre-refactor engine
 (``tests/sim/golden_digests.json``).
 
 If a change to the kernel, queues, MPI layer, or memory system alters
-any simulated result, the digest moves and this suite fails.  To
-re-record after an *intentional* semantic change::
+any simulated result, the digest moves and this suite fails.
+
+The suite also pins how many events each config processes
+(``tests/sim/golden_event_counts.json``), outside the digests: the
+event count is host work, not simulated behaviour, so a change may move
+it while every digest holds.  The count is exact and free of host
+noise, so a change that adds events shows here even when wall-time
+measurements cannot resolve it.
+
+To re-record after an *intentional* change::
 
     PYTHONPATH=src python tests/sim/test_determinism.py --regenerate
 
-and justify the new digests in the PR description.
+and justify the new digests or event counts in the change description.
 """
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -25,6 +34,7 @@ import pathlib
 import pytest
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_digests.json"
+EVENT_COUNTS_PATH = pathlib.Path(__file__).parent / "golden_event_counts.json"
 
 
 def _crc32(iterations=24, misspec=None):
@@ -157,8 +167,9 @@ CONFIGS.update(_specfor_configs())
 CONFIGS.update(_specfor_ft_configs())
 
 
-def run_fingerprint(name: str) -> str:
-    """Canonical text of every simulated result of one config.
+def run_config(name: str) -> tuple[str, int]:
+    """Run one config: the canonical text of every simulated result,
+    and the number of events the run processed.
 
     Floats are rendered with ``repr`` (shortest round-trip), so any
     drift — even in the last ulp — changes the digest.
@@ -268,28 +279,55 @@ def run_fingerprint(name: str) -> str:
             f"checkpoint(iter={record.iteration}, words={record.words}, "
             f"at={record.at!r})"
         )
-    return "\n".join(lines)
+    return "\n".join(lines), system.env.events_processed
 
 
-def run_digest(name: str) -> str:
-    return hashlib.sha256(run_fingerprint(name).encode()).hexdigest()
+def run_fingerprint(name: str) -> str:
+    """Canonical text of every simulated result of one config."""
+    return run_config(name)[0]
 
 
-def _golden() -> dict:
-    with open(GOLDEN_PATH) as handle:
+def _digest(fingerprint: str) -> str:
+    return hashlib.sha256(fingerprint.encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_run(name: str) -> tuple[str, int]:
+    """One run per config, shared by the digest and event-count tests."""
+    return run_config(name)
+
+
+def _load(path: pathlib.Path) -> dict:
+    with open(path) as handle:
         return json.load(handle)
+
+
+_REGENERATE_HINT = "'PYTHONPATH=src python tests/sim/test_determinism.py --regenerate'"
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_matches_golden_digest(name):
-    golden = _golden()
+    golden = _load(GOLDEN_PATH)
     assert name in golden, (
-        f"no golden digest recorded for {name!r}; run "
-        "'PYTHONPATH=src python tests/sim/test_determinism.py --regenerate'"
+        f"no golden digest recorded for {name!r}; run {_REGENERATE_HINT}"
     )
-    assert run_digest(name) == golden[name], (
+    assert _digest(_cached_run(name)[0]) == golden[name], (
         f"simulated results of {name!r} changed: the refactor altered "
         "behaviour, not just speed (see tests/sim/test_determinism.py)"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_matches_golden_event_count(name):
+    golden = _load(EVENT_COUNTS_PATH)
+    assert name in golden, (
+        f"no event count recorded for {name!r}; run {_REGENERATE_HINT}"
+    )
+    events = _cached_run(name)[1]
+    assert events == golden[name], (
+        f"{name!r} processed {events} events, pinned {golden[name]}: a "
+        "change to the event kernel or a layer that schedules events "
+        "moved the count; re-pin it only with a stated reason"
     )
 
 
@@ -300,14 +338,17 @@ def test_digest_is_repeatable():
 
 
 def _regenerate() -> None:
-    digests = {}
+    digests, event_counts = {}, {}
     for name in sorted(CONFIGS):
-        digests[name] = run_digest(name)
-        print(f"{name}: {digests[name]}")
-    with open(GOLDEN_PATH, "w") as handle:
-        json.dump(digests, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {GOLDEN_PATH}")
+        fingerprint, events = run_config(name)
+        digests[name] = _digest(fingerprint)
+        event_counts[name] = events
+        print(f"{name}: {digests[name]} ({events} events)")
+    for path, table in ((GOLDEN_PATH, digests), (EVENT_COUNTS_PATH, event_counts)):
+        with open(path, "w") as handle:
+            json.dump(table, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -238,6 +238,59 @@ def test_sleep_and_timeout_share_fifo_order():
     assert order == ["a", "b", "c"]
 
 
+def test_sleep_until_is_bit_equal_to_two_sleeps():
+    # Deliberately unround delays: (now + a) + b differs from now + (a + b)
+    # in the last ulp, and sleep_until must reach the former.
+    a, b = 1e-7 / 3, 5.1e-7 / 3
+    start = 0.1
+    assert (start + a) + b != start + (a + b)
+    chained, fused = Environment(start), Environment(start)
+    times = {}
+
+    def two_sleeps():
+        yield chained.sleep(a)
+        yield chained.sleep(b)
+        times["chained"] = chained.now
+
+    def one_wakeup():
+        yield fused.sleep_until((fused.now + a) + b)
+        times["fused"] = fused.now
+
+    chained.process(two_sleeps())
+    fused.process(one_wakeup())
+    chained.run()
+    fused.run()
+    assert times["fused"] == times["chained"] == (start + a) + b
+    assert fused.events_processed == chained.events_processed - 1
+
+
+def test_sleep_until_rejects_the_past():
+    env = Environment(2.0)
+    with pytest.raises(ValueError, match="in the past"):
+        env.sleep_until(1.5)
+    env.sleep_until(2.0)  # "now" is allowed: a zero-length wait
+
+
+def test_sleep_until_keeps_fifo_order_with_same_time_events():
+    env = Environment()
+    order = []
+
+    def via_sleep(name):
+        yield env.sleep(1.0)
+        order.append(name)
+
+    def via_sleep_until(name):
+        yield env.sleep_until(1.0)
+        order.append(name)
+
+    env.process(via_sleep("a"))
+    env.process(via_sleep_until("b"))
+    env.process(via_sleep("c"))
+    env.process(via_sleep_until("d"))
+    env.run()
+    assert order == ["a", "b", "c", "d"]
+
+
 def test_events_processed_counts_every_event():
     env = Environment()
 

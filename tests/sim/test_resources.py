@@ -60,6 +60,35 @@ def test_resource_cancel_waiting_request():
     assert resource.count == 0
 
 
+def test_resource_acquire_nowait_schedules_no_event():
+    env = Environment()
+    resource = Resource(env, capacity=2)
+    first = resource.acquire_nowait()
+    second = resource.acquire_nowait()
+    assert first is not None and second is not None and first is not second
+    assert resource.count == 2
+    assert env.peek() == float("inf")  # nothing pushed onto the heap
+    assert resource.acquire_nowait() is None  # full: the caller must queue
+    assert resource.count == 2 and resource.queue_length == 0
+    resource.release(first)
+    resource.release(second)
+    assert resource.count == 0
+
+
+def test_resource_nowait_release_hands_slot_to_oldest_waiter():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    token = resource.acquire_nowait()
+    older, newer = resource.request(), resource.request()
+    assert not older.triggered and not newer.triggered
+    resource.release(token)
+    assert older.triggered and not newer.triggered
+    assert resource.count == 1 and resource.queue_length == 1
+    assert resource.acquire_nowait() is None
+    with pytest.raises(SimulationError):
+        resource.release(token)  # a token releases its slot only once
+
+
 def test_resource_bogus_release_raises():
     env = Environment()
     resource = Resource(env, capacity=1)
