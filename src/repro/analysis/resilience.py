@@ -72,17 +72,8 @@ def run_fingerprint(stats, master=None, chaos=None) -> str:
             lines.append(f"page[{number}]={items!r}")
     # Conditional sections: absent features leave no trace, so digests
     # of plain runs are comparable across versions that predate them.
-    ft_counters = (
-        ("heartbeats", stats.ft_heartbeats),
-        ("acks", stats.ft_acks),
-        ("retransmits", stats.ft_retransmits),
-        ("retransmit_giveups", stats.ft_retransmit_giveups),
-        ("duplicates_dropped", stats.ft_duplicates_dropped),
-        ("frames_reordered", stats.ft_frames_reordered),
-        ("frames_from_dead_dropped", stats.ft_frames_from_dead_dropped),
-    )
-    if any(value for _name, value in ft_counters):
-        lines.extend(f"ft.{name}={value}" for name, value in ft_counters)
+    if stats.ft_ran:
+        lines.extend(f"ft.{name}={value}" for name, value in stats.ft_counters())
     repl_counters = (
         ("repl_words", stats.ft_repl_words),
         ("repl_folded_words", stats.ft_repl_folded_words),
@@ -240,7 +231,7 @@ def render_resilience_report(stats, chaos=None, reference=None) -> str:
         ))
 
     ft_lines = []
-    if stats.ft_heartbeats:
+    if stats.ft_ran:
         ft_lines.append(
             f"transport: {stats.ft_acks} acks, {stats.ft_retransmits} "
             f"retransmits ({stats.ft_retransmit_giveups} give-ups), "

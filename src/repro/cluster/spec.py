@@ -114,8 +114,6 @@ class ClusterSpec:
     max_retransmits: int = 16
     #: Wire size of one cumulative acknowledgement frame.
     ack_bytes: int = 16
-    #: Wire size of one heartbeat frame.
-    heartbeat_bytes: int = 32
     #: Fraction of the *other* monitored nodes the standby-side watcher
     #: must have heard from recently before it may declare the primary
     #: dead (quorum-of-survivors suspicion: a standby that has itself

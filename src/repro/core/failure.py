@@ -1,7 +1,6 @@
 """Heartbeat-based failure detection (fault-tolerant mode).
 
-Every node that hosts runtime units runs a lightweight *heartbeat
-emitter* that pings the commit node every
+Every node that hosts runtime units heartbeats to the commit node every
 :attr:`ClusterSpec.heartbeat_period_s`.  The :class:`FailureDetector`,
 co-located with the commit unit, sweeps the per-node last-heard times;
 a node silent for longer than :attr:`ClusterSpec.suspicion_timeout_s`
@@ -24,22 +23,37 @@ healthy node is never suspected: transient link faults only delay data
 traffic (absorbed by the reliable transport) and never trigger a
 spurious failover.
 
+**One tick, per-node handles.**  The whole detector is one simulation
+process.  Each tick — on the same ``t + period`` float chain a per-node
+emitter would follow — first records a beat for every node that is
+still alive, then runs the commit-side sweep round, then the
+standby-side watcher step, each only while the node hosting it is
+alive.  Each monitored node registers one small handle with the system
+(:meth:`~repro.core.runtime.DSMTXSystem.register_node_process`); a node
+crash "interrupts" the handle, which silences the node's beat and stops
+any detector duty hosted there.  This simulates exactly what separate
+emitter, sweep and watcher processes would: started back to back and
+each waiting on one ``sleep(period)`` per tick, their wake-ups would
+hold adjacent heap keys, so nothing else could run between them; a
+declaration schedules only same-instant events, so nothing created
+mid-tick lands on the next tick; and a crash interrupt runs at priority
+0, ahead of any tick at the same instant, which is where the handle's
+synchronous silencing puts it too.
+
 A crash of the try-commit node is not survivable — the validation
 pipeline has no replica — and raises
 :class:`~repro.errors.ClusterFailedError`.  The same goes for the
 commit node, *unless* commit replication is on
 (``SystemConfig.commit_replication``): then the detection duty for the
-primary moves to a **standby-side watcher** co-located with the hot
-standby, because the commit-side sweep dies with the primary.  The
+primary moves to a **standby-side watcher** co-located with the (single)
+hot standby, because the commit-side sweep dies with the primary.  The
 watcher declares the primary dead only when
 
 * the primary has been silent past the suspicion timeout, **and**
 * a quorum of the *other* monitored nodes has been heard recently
   (:attr:`ClusterSpec.quorum_fraction` — a watcher that has itself been
   partitioned away hears from nobody and stays quiet rather than
-  promote a second commit unit), **and**
-* its own node is the lowest-numbered surviving standby host (the
-  deterministic promotion winner; trivial with a single standby).
+  promote a second commit unit).
 
 The declaration queues the failover, passes the primary's barrier seat
 to the standby, and sets ``SystemState.promote_pending`` — the signal
@@ -56,8 +70,34 @@ from repro.errors import ClusterFailedError, NodeCrashed, ProcessInterrupt
 __all__ = ["FailureDetector", "SpecForFailureDetector"]
 
 
+class _NodeHandle:
+    """The detector's presence on one node: its heartbeat, plus the
+    sweep or the watcher if the node hosts one.
+
+    Registered with the system like a unit process, so the chaos
+    engine's crash loop (``is_alive``, ``interrupt``) silences it.
+    """
+
+    __slots__ = ("detector", "node", "is_alive")
+
+    def __init__(self, detector: "FailureDetector", node: int) -> None:
+        self.detector = detector
+        self.node = node
+        self.is_alive = True
+
+    def interrupt(self, cause: object = None) -> None:
+        """Die with the node; silence is the signal.  Any other cause
+        is a bug in the caller and raises, as it would in a process."""
+        if not isinstance(cause, NodeCrashed):
+            raise ProcessInterrupt(cause)
+        if self.is_alive:
+            self.is_alive = False
+            self.detector._beating.remove(self.node)
+
+
 class FailureDetector:
-    """Per-node heartbeat emitters plus the commit-side sweep process."""
+    """Heartbeats, the commit-side sweep and the standby-side watcher,
+    driven by one tick process."""
 
     def __init__(self, system: "DSMTXSystem") -> None:  # noqa: F821
         self.system = system
@@ -84,39 +124,48 @@ class FailureDetector:
             self.tids_by_node.setdefault(node, []).append(tid)
         self.last_heard: dict[int, float] = {}
         self.declared: set[int] = set()
+        #: Nodes whose heartbeat is live, in ``tids_by_node`` order; a
+        #: node crash removes its entry through the node's handle.
+        self._beating: list[int] = []
+        #: Handles of the nodes hosting the sweep and the standby-side
+        #: watcher (commit replication only; without it the sweep shares
+        #: the commit node, whose loss is fatal, so it never dies).
+        self._sweep_host: _NodeHandle | None = None
+        self._watch_host: _NodeHandle | None = None
 
     @property
     def replicated(self) -> bool:
         return self.standby_node is not None
 
     def start(self) -> None:
-        """Spawn the emitters and the sweep as detached processes.
+        """Register one crash handle per monitored node and spawn the
+        detector's single tick process.
 
         Called by :meth:`DSMTXSystem.run` after unit processes exist, so
-        emitters can be registered for chaos-engine crash targeting.
+        the handles are registered for chaos-engine crash targeting
+        after the units they share a node with.
         """
         system = self.system
-        env = system.env
-        now = env.now
+        now = system.env.now
+        handles: dict[int, _NodeHandle] = {}
         for node in self.tids_by_node:
             self.last_heard[node] = now
             # With commit replication the commit node beats too: its
             # silence is what the standby-side watcher detects.
             if node != self.commit_node or self.replicated:
-                process = env.process(
-                    self._emit(node), name=f"heartbeat[node{node}]"
-                )
-                system.register_node_process(node, process)
-        sweep = env.process(self._sweep(), name="failure-detector")
+                handles[node] = handle = _NodeHandle(self, node)
+                self._beating.append(node)
+                system.register_node_process(node, handle)
         if self.replicated:
             # The sweep is co-located with the commit unit: it dies with
-            # the primary, and the watcher below takes over its duty.
-            system.register_node_process(self.commit_node, sweep)
-            watcher = env.process(self._watch_primary(), name="standby-watcher")
-            system.register_node_process(self.standby_node, watcher)
+            # the primary, and the watcher takes over its duty.
+            self._sweep_host = handles[self.commit_node]
+            self._watch_host = handles[self.standby_node]
+        system.env.process(self._tick(), name="failure-detector")
 
-    def _emit(self, node: int) -> Generator:
-        """Heartbeat emitter hosted on ``node``; dies with the node.
+    def _tick(self) -> Generator:
+        """Every ``period``: one beat per live node, then the sweep
+        round, then the watcher step, each only while its host lives.
 
         The beat is recorded at send time: the suspicion timeout already
         budgets the (microsecond-scale) management-path delay, so
@@ -124,32 +173,23 @@ class FailureDetector:
         """
         system = self.system
         env = system.env
+        state = system.state
+        stats = system.stats
         period = self.period
-        try:
-            while not system.state.done:
-                yield env.sleep(period)
-                self.last_heard[node] = env.now
-                system.stats.ft_heartbeats += 1
-        except ProcessInterrupt as interrupt:
-            if isinstance(interrupt.cause, NodeCrashed):
-                return  # the emitter dies with its node; silence is the signal
-            raise
-
-    def _sweep(self) -> Generator:
-        system = self.system
-        env = system.env
-        period = self.period
-        try:
-            while not system.state.done:
-                yield env.sleep(period)
-                self._sweep_round(env.now)
-        except ProcessInterrupt as interrupt:
-            if isinstance(interrupt.cause, NodeCrashed):
-                # Commit replication only: the sweep shares the primary's
-                # node and dies with it; the standby-side watcher is the
-                # detector from here on.
-                return
-            raise
+        last_heard = self.last_heard
+        beating = self._beating
+        sweep_host = self._sweep_host
+        watch_host = self._watch_host
+        while not state.done:
+            yield env.sleep(period)
+            now = env.now
+            for node in beating:
+                last_heard[node] = now
+            stats.ft_heartbeats += len(beating)
+            if sweep_host is None or sweep_host.is_alive:
+                self._sweep_round(now)
+            if watch_host is not None and watch_host.is_alive:
+                self._watch_round(now)
 
     def _sweep_round(self, now: float) -> None:
         for node, heard in self.last_heard.items():
@@ -158,39 +198,24 @@ class FailureDetector:
             if now - heard > self.suspicion_timeout:
                 self._declare(node)
 
-    def _watch_primary(self) -> Generator:
-        """Standby-side watcher (commit replication only).
+    def _watch_round(self, now: float) -> None:
+        """Standby-side watcher step (commit replication only).
 
         Monitors the primary's heartbeats; after promotion — when
-        :attr:`commit_node` has become this watcher's own node — it
+        :attr:`commit_node` has become the watcher's own node — it
         takes over the ordinary sweep duty from the dead primary's
         sweep.
         """
-        system = self.system
-        env = system.env
-        period = self.period
-        try:
-            while not system.state.done:
-                yield env.sleep(period)
-                now = env.now
-                if self.commit_node == self.standby_node:
-                    # Promoted: this process is the survivors' sweep now.
-                    self._sweep_round(now)
-                    continue
-                if self.commit_node in self.declared:
-                    continue
-                if now - self.last_heard[self.commit_node] <= self.suspicion_timeout:
-                    continue
-                if not self._quorum_agrees(now):
-                    continue
-                if not self._is_lowest_standby_survivor():
-                    continue
-                self._declare(self.commit_node)
-        except ProcessInterrupt as interrupt:
-            if isinstance(interrupt.cause, NodeCrashed):
-                # Our own node died; the commit-side sweep declares it.
-                return
-            raise
+        commit_node = self.commit_node
+        if commit_node == self.standby_node:
+            # Promoted: the watcher is the survivors' sweep now.
+            self._sweep_round(now)
+        elif (
+            commit_node not in self.declared
+            and now - self.last_heard[commit_node] > self.suspicion_timeout
+            and self._quorum_agrees(now)
+        ):
+            self._declare(commit_node)
 
     def _quorum_agrees(self, now: float) -> bool:
         """Majority-of-survivors gate on declaring the primary.
@@ -215,16 +240,6 @@ class FailureDetector:
             if now - self.last_heard[node] <= self.suspicion_timeout
         )
         return heard >= len(others) * self.system.cluster.quorum_fraction
-
-    def _is_lowest_standby_survivor(self) -> bool:
-        """Deterministic promotion winner: the lowest-numbered surviving
-        standby host declares and promotes.  Trivially true with a
-        single standby; the check pins the protocol's tie-break rule.
-        """
-        candidates = [
-            self.standby_node
-        ]  # single-standby deployment; lowest node id wins
-        return self.standby_node == min(candidates)
 
     def _declare(self, node: int) -> None:
         """Declare ``node`` dead and hand the failover to the runtime."""
@@ -303,8 +318,8 @@ class FailureDetector:
 class SpecForFailureDetector(FailureDetector):
     """Failure detection for the ``speculative_for`` runtime.
 
-    Same heartbeat emitters, sweep, and standby-side watcher as the
-    pipeline detector — only the declaration differs.  The reservation
+    Same tick (heartbeats, sweep, standby-side watcher) as the pipeline
+    detector — only the declaration differs.  The reservation
     runtime has no try-commit unit (nothing is categorically fatal
     besides losing the service without a standby), no recovery barriers
     to deregister, and no runtime queues to retire: a worker's death

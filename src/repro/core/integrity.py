@@ -51,9 +51,37 @@ def _encode(obj: Any, parts: list) -> None:
     (any object exposing ``number`` and ``items()``).  Unknown leaves
     fall back to their class name — never ``repr`` (ids are not stable
     across processes).
+
+    The common shapes — exact ints and strs, None, and tuples, whose
+    leaf items are encoded inline — are dispatched on ``type(obj)``
+    first.  Everything else (bools, int and str subclasses, floats,
+    bytes, lists, dicts, pages) takes the ``isinstance`` chain below,
+    and both routes emit the same bytes for every value.
     """
-    if obj is None:
+    kind = type(obj)
+    if kind is int:
+        parts.append(b"i%d;" % obj)
+    elif kind is str:
+        encoded = obj.encode("utf-8")
+        parts.append(b"s%d:" % len(encoded))
+        parts.append(encoded)
+    elif obj is None:
         parts.append(b"n")
+    elif isinstance(obj, tuple):
+        parts.append(b"(")
+        for item in obj:
+            kind = type(item)
+            if kind is int:
+                parts.append(b"i%d;" % item)
+            elif kind is str:
+                encoded = item.encode("utf-8")
+                parts.append(b"s%d:" % len(encoded))
+                parts.append(encoded)
+            elif item is None:
+                parts.append(b"n")
+            else:
+                _encode(item, parts)
+        parts.append(b")")
     elif obj is True:
         parts.append(b"T")
     elif obj is False:
@@ -69,7 +97,7 @@ def _encode(obj: Any, parts: list) -> None:
     elif isinstance(obj, (bytes, bytearray)):
         parts.append(b"b%d:" % len(obj))
         parts.append(bytes(obj))
-    elif isinstance(obj, (tuple, list)):
+    elif isinstance(obj, list):
         parts.append(b"(")
         for item in obj:
             _encode(item, parts)
@@ -83,13 +111,24 @@ def _encode(obj: Any, parts: list) -> None:
     elif hasattr(obj, "number") and hasattr(obj, "items"):
         # A page snapshot travelling in a COA response: digest its
         # identity and present words (versions are local bookkeeping).
-        parts.append(b"P%d[" % obj.number)
-        for index, value in obj.items():
-            _encode(index, parts)
-            _encode(value, parts)
-        parts.append(b"]")
+        _encode_page(obj, parts)
     else:
         parts.append(b"?" + type(obj).__name__.encode("ascii") + b";")
+
+
+def _encode_page(page: Any, parts: list) -> None:
+    """Append ``page``'s number and the ``(index, value)`` pairs of its
+    present words.  Indices are ints (as :meth:`Page.items` yields
+    them); an exact-int value shares one format operation with its
+    index."""
+    parts.append(b"P%d[" % page.number)
+    for index, value in page.items():
+        if type(value) is int:
+            parts.append(b"i%d;i%d;" % (index, value))
+        else:
+            parts.append(b"i%d;" % index)
+            _encode(value, parts)
+    parts.append(b"]")
 
 
 def payload_checksum(payload: Any) -> int:
@@ -102,13 +141,10 @@ def payload_checksum(payload: Any) -> int:
 def page_digest(page: Any) -> int:
     """CRC32 over one page's present ``(index, value)`` words."""
     if not page.present_mask:
-        # The same bytes the loop below builds for an empty page.
+        # The same bytes _encode_page builds for an empty page.
         return zlib.crc32(b"P%d[]" % page.number)
-    parts: list = [b"P%d[" % page.number]
-    for index, value in page.items():
-        _encode(index, parts)
-        _encode(value, parts)
-    parts.append(b"]")
+    parts: list = []
+    _encode_page(page, parts)
     return zlib.crc32(b"".join(parts))
 
 
@@ -122,12 +158,6 @@ def space_digest(space: Any) -> int:
     """
     parts: list = []
     for page in space.iter_pages():
-        items = list(page.items())
-        if not items:
-            continue
-        parts.append(b"P%d[" % page.number)
-        for index, value in items:
-            _encode(index, parts)
-            _encode(value, parts)
-        parts.append(b"]")
+        if page.present_mask:
+            _encode_page(page, parts)
     return zlib.crc32(b"".join(parts))

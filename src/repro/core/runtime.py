@@ -221,7 +221,8 @@ class DSMTXSystem:
             FailureDetector(self) if config.fault_tolerance else None
         )
         #: Simulation processes hosted on each node (unit main loops,
-        #: heartbeat emitters): the kill set of a node-crash fault.
+        #: the failure detector's per-node handles): the kill set of a
+        #: node-crash fault.
         self._node_processes: dict[int, list] = {}
 
         self.total_iterations = 0
@@ -358,8 +359,9 @@ class DSMTXSystem:
     # -- node failure -----------------------------------------------------------------------
 
     def register_node_process(self, node: int, process) -> None:
-        """Track a simulation process as hosted on ``node`` so a
-        node-crash fault kills it along with the node."""
+        """Track a simulation process (or anything with ``is_alive``
+        and ``interrupt(cause)``) as hosted on ``node`` so a node-crash
+        fault kills it along with the node."""
         self._node_processes.setdefault(node, []).append(process)
 
     def processes_on_node(self, node: int) -> list:

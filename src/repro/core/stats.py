@@ -135,7 +135,7 @@ class RunStats:
     failures: list = field(default_factory=list)
     #: Epoch checkpoints taken by the commit unit (fault-tolerant mode).
     checkpoints: list = field(default_factory=list)
-    #: Heartbeats sent by node heartbeat emitters (fault-tolerant mode).
+    #: Heartbeats recorded for live nodes (fault-tolerant mode).
     ft_heartbeats: int = 0
     #: Cumulative acks sent by reliable-transport ingest boxes.
     ft_acks: int = 0
@@ -224,6 +224,28 @@ class RunStats:
     def failure_recovery_seconds(self) -> float:
         """Total detection-to-resume latency across all node failures."""
         return sum(f.recovery_seconds for f in self.failures)
+
+    def ft_counters(self) -> tuple:
+        """``(name, value)`` of the heartbeat and transport counters.
+
+        Any nonzero one means fault-tolerant mode ran.  Heartbeats alone
+        do not tell: a run shorter than one heartbeat period has none,
+        yet its transport acked every frame.
+        """
+        return (
+            ("heartbeats", self.ft_heartbeats),
+            ("acks", self.ft_acks),
+            ("retransmits", self.ft_retransmits),
+            ("retransmit_giveups", self.ft_retransmit_giveups),
+            ("duplicates_dropped", self.ft_duplicates_dropped),
+            ("frames_reordered", self.ft_frames_reordered),
+            ("frames_from_dead_dropped", self.ft_frames_from_dead_dropped),
+        )
+
+    @property
+    def ft_ran(self) -> bool:
+        """True when fault-tolerant mode left any counter behind."""
+        return any(value for _name, value in self.ft_counters())
 
     def bandwidth_bps(self) -> float:
         """Application bandwidth: bytes through DSMTX over run time

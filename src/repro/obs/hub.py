@@ -69,7 +69,7 @@ class Observability:
             m.gauge(f"run.recovery.{phase}_seconds").set(
                 getattr(stats, f"{phase}_seconds")
             )
-        if stats.ft_heartbeats:  # fault-tolerant mode ran
+        if stats.ft_ran:
             for name, value in (
                 ("run.ft.heartbeats", stats.ft_heartbeats),
                 ("run.ft.acks", stats.ft_acks),

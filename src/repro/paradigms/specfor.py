@@ -547,7 +547,8 @@ class SpecForSystem:
         #: round scheduler re-partitions batches over these).
         self.live_workers: list[int] = list(range(workers))
         #: Simulation processes hosted on each node (unit main loops,
-        #: heartbeat emitters): the kill set of a node-crash fault.
+        #: the failure detector's per-node handles): the kill set of a
+        #: node-crash fault.
         self._node_processes: dict[int, list] = {}
         #: Reliable ack/retransmit transport; ``None`` keeps the
         #: fault-free fast path untouched (a single is-None check).
@@ -620,8 +621,9 @@ class SpecForSystem:
         return self._inboxes[tid]
 
     def register_node_process(self, node: int, process) -> None:
-        """Track a simulation process as hosted on ``node`` so a
-        node-crash fault kills it along with the node."""
+        """Track a simulation process (or anything with ``is_alive``
+        and ``interrupt(cause)``) as hosted on ``node`` so a node-crash
+        fault kills it along with the node."""
         self._node_processes.setdefault(node, []).append(process)
 
     def processes_on_node(self, node: int) -> list:

@@ -43,6 +43,7 @@ from repro.core.config import PipelineConfig
 from repro.core.integrity import page_digest, payload_checksum
 from repro.errors import ClusterFailedError
 from repro.memory import Page
+from repro.memory.page import ZERO_WORDS
 from repro.workloads import Crc32
 from repro.workloads.base import ParallelPlan
 from tests.core.toys import ToyDoall
@@ -238,6 +239,43 @@ def test_scrubber_detects_and_repairs_memory_corruption():
     assert stats.ft_corruptions_repaired >= 1
     assert stats.ft_corruptions_unrepairable == 0
     assert_same_results(system, result, (ref_system, ref_result))
+
+
+def test_scrubber_counts_zero_pages_and_catches_a_word_flipped_into_one():
+    """Never-written master pages (the shared zero array) are audited
+    in O(1) but still counted, and still caught when a word appears in
+    one, or when their table entry is not the empty page's digest."""
+    system, _ = build(workload_cls=Crc32)
+    system.run()
+    commit = system.commit
+    stats = system.stats
+    pages = list(commit.master.iter_pages())
+    zero = [page for page in pages if page.words is ZERO_WORDS]
+    assert zero and len(zero) < len(pages)
+    audited = stats.ft_scrub_pages
+    assert commit.scrub_once() == 0
+    assert stats.ft_scrub_pages == audited + len(pages)
+
+    # A bit flipped into a never-written page, with no bookkeeping: the
+    # page gets a private array and a present word, nothing else.
+    victim = zero[len(zero) // 2]
+    victim.writable_words()[5] ^= 1 << 3
+    victim.present_mask |= 1 << 5
+    detected = stats.ft_corruptions_detected
+    repaired = stats.ft_corruptions_repaired
+    assert commit.scrub_once() == 1
+    assert stats.ft_corruptions_detected == detected + 1
+    assert stats.ft_corruptions_repaired == repaired + 1
+    assert not victim.present_mask and not any(victim.words)
+    assert commit.scrub_once() == 0
+
+    # A zero page whose authoritative digest is not the empty page's.
+    stale = zero[0]
+    commit._page_digests[stale.number] ^= 1
+    unrepairable = stats.ft_corruptions_unrepairable
+    assert commit.scrub_once() == 1
+    assert stats.ft_corruptions_unrepairable == unrepairable + 1
+    assert stale.words is ZERO_WORDS
 
 
 def test_scrubber_is_quiet_on_a_clean_run():

@@ -138,3 +138,31 @@ def test_fault_tolerant_mode_alone_preserves_results(reference):
     assert result.stats.ft_retransmit_giveups == 0
     assert not result.stats.failures
     assert_same_results(system, result, reference)
+
+
+def test_ft_run_shorter_than_one_heartbeat_still_reports_its_transport():
+    """A fault-tolerant run that ends before the first heartbeat acked
+    its frames all the same: the resilience report and the hub's
+    ``run.ft.*`` gauges must show the transport, exactly as the run
+    fingerprint does, instead of keying off the heartbeat count."""
+    from repro.analysis import render_resilience_report, run_fingerprint
+    from repro.obs import Observability
+    from repro.paradigms import SpecForSystem
+    from repro.workloads import ALL_BENCHMARKS
+
+    workload = ALL_BENCHMARKS["spanning_forest"](iterations=1)
+    config = SystemConfig(total_cores=6, placement="spread", fault_tolerance=True)
+    system = SpecForSystem(workload, config, workers=4)
+    stats = system.run().stats
+    assert stats.elapsed_seconds < system.cluster.heartbeat_period_s
+    assert stats.ft_heartbeats == 0 and stats.ft_acks > 0
+
+    assert f"ft.acks={stats.ft_acks}" in run_fingerprint(stats)
+    report = render_resilience_report(stats)
+    assert f"transport: {stats.ft_acks} acks" in report
+    assert "heartbeats: 0" in report
+    hub = Observability(system.env)
+    hub.finalize(system)
+    gauges = hub.metrics.snapshot()
+    assert gauges["run.ft.acks"] == stats.ft_acks
+    assert gauges["run.ft.heartbeats"] == 0

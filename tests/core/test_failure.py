@@ -1,12 +1,23 @@
 """Failure detection, barrier deregistration, and the participant
-protocol's termination/interruption races."""
+protocol's termination/interruption races.
+
+The detector runs as one tick process with per-node crash handles; a
+differential test holds it to the per-node emitter, sweep and watcher
+processes it replaced, kept here as the reference."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import run_digest
+from repro.chaos import ChaosEngine, FaultPlan, NodeCrash
 from repro.core import DSMTXSystem, SystemConfig
+from repro.core.failure import FailureDetector, SpecForFailureDetector
 from repro.core.messages import CTL_NODE_FAILED
 from repro.core.recovery import RecoveryCoordinator
 from repro.errors import ClusterFailedError, NodeCrashed, ProcessInterrupt
+from repro.paradigms import SpecForSystem
+from repro.workloads import ALL_BENCHMARKS, Crc32
 from tests.core.toys import ToyDoall
 
 
@@ -227,3 +238,244 @@ def test_unit_main_loops_reraise_foreign_interrupts():
     env.process(killer())
     with pytest.raises(ProcessInterrupt):
         env.run(until=process)
+
+
+# -- the one-tick detector against per-node processes --------------------------
+
+
+class _PerProcessLoops:
+    """The detector as separate processes: one heartbeat emitter per
+    node, the commit-side sweep and the standby-side watcher, each
+    registered on its host node.  The single tick must simulate exactly
+    what these do."""
+
+    def start(self):
+        system = self.system
+        env = system.env
+        now = env.now
+        for node in self.tids_by_node:
+            self.last_heard[node] = now
+            if node != self.commit_node or self.replicated:
+                process = env.process(self._emit(node), name=f"heartbeat[node{node}]")
+                system.register_node_process(node, process)
+        sweep = env.process(self._sweep(), name="failure-detector")
+        if self.replicated:
+            system.register_node_process(self.commit_node, sweep)
+            watcher = env.process(self._watch_primary(), name="standby-watcher")
+            system.register_node_process(self.standby_node, watcher)
+
+    def _emit(self, node):
+        system = self.system
+        env = system.env
+        period = self.period
+        try:
+            while not system.state.done:
+                yield env.sleep(period)
+                self.last_heard[node] = env.now
+                system.stats.ft_heartbeats += 1
+        except ProcessInterrupt as interrupt:
+            if isinstance(interrupt.cause, NodeCrashed):
+                return
+            raise
+
+    def _sweep(self):
+        system = self.system
+        env = system.env
+        period = self.period
+        try:
+            while not system.state.done:
+                yield env.sleep(period)
+                self._sweep_round(env.now)
+        except ProcessInterrupt as interrupt:
+            if isinstance(interrupt.cause, NodeCrashed):
+                return
+            raise
+
+    def _watch_primary(self):
+        # The single-standby promotion tie-break was always true and is
+        # left out.
+        system = self.system
+        env = system.env
+        period = self.period
+        try:
+            while not system.state.done:
+                yield env.sleep(period)
+                now = env.now
+                if self.commit_node == self.standby_node:
+                    self._sweep_round(now)
+                    continue
+                if self.commit_node in self.declared:
+                    continue
+                if now - self.last_heard[self.commit_node] <= self.suspicion_timeout:
+                    continue
+                if not self._quorum_agrees(now):
+                    continue
+                self._declare(self.commit_node)
+        except ProcessInterrupt as interrupt:
+            if isinstance(interrupt.cause, NodeCrashed):
+                return
+            raise
+
+
+class _ReferenceDetector(_PerProcessLoops, FailureDetector):
+    pass
+
+
+class _ReferenceSpecForDetector(_PerProcessLoops, SpecForFailureDetector):
+    pass
+
+
+#: Crash targets that exist, per (runtime, replicated).
+TARGETS = {
+    (runtime, replicated): tuple(
+        target
+        for target in ("worker", "commit", "standby", "try-commit")
+        if (replicated or target != "standby")
+        and (runtime == "dsmtx" or target != "try-commit")
+    )
+    for runtime in ("dsmtx", "specfor")
+    for replicated in (False, True)
+}
+
+
+#: Simulated-time cut-off of one differential run, about ten times a
+#: fault-free run.  Some crash pairs leave the run waiting forever
+#: while the detector beats on (a worker crash followed by a commit
+#: crash in a replicated DSMTX run, ROADMAP); the two detectors must
+#: still agree on everything up to the cut-off.
+HORIZON_S = {"dsmtx": 0.2, "specfor": 0.02}
+
+
+class _Unfinished(Exception):
+    """The run was still going at its simulated-time horizon."""
+
+
+def _differential_build(runtime, replicated):
+    common = dict(placement="spread", fault_tolerance=True, commit_replication=replicated)
+    if runtime == "dsmtx":
+        config = SystemConfig(total_cores=8, batch_bytes=64, **common)
+        return DSMTXSystem(Crc32(iterations=24).dsmtx_plan(), config)
+    workload = ALL_BENCHMARKS["spanning_forest"](iterations=192, density=0.7)
+    return SpecForSystem(workload, SystemConfig(total_cores=6, **common), workers=4)
+
+
+def _differential_outcome(reference, runtime, replicated, crashes):
+    """Run one crash scenario under the tick detector or the reference
+    processes; return everything the two must agree on.
+
+    ``crashes`` holds ``(target, beat, offset, after_tick)``: crash the
+    node hosting ``target`` at ``offset`` periods past beat instant
+    ``beat``; with ``after_tick`` (offset 0 only) the crash lands on
+    the beat instant behind that instant's tick rather than ahead of it.
+    A run still going at ``HORIZON_S`` stops there with ``_Unfinished``.
+    """
+    system = _differential_build(runtime, replicated)
+    detector_cls = {
+        (False, "dsmtx"): FailureDetector,
+        (False, "specfor"): SpecForFailureDetector,
+        (True, "dsmtx"): _ReferenceDetector,
+        (True, "specfor"): _ReferenceSpecForDetector,
+    }[reference, runtime]
+    detector = system.failure_detector = detector_cls(system)
+    tids = {
+        "worker": 0,
+        "commit": system.commit_tid,
+        "standby": system.standby_tid,
+        "try-commit": getattr(system, "trycommit_tid", None),
+    }
+    env = system.env
+    scheduled, killed = [], []
+    for target, beat, offset, after_tick in crashes:
+        node = system.core_of(tids[target]).node_index
+        # Beat instants follow the detector's own float chain from 0.
+        instant = 0.0
+        for _ in range(beat):
+            instant += detector.period
+        if after_tick:
+            killed.append(NodeCrash(node=node, at_s=instant))
+        else:
+            at_s = instant + offset * detector.period
+            scheduled.append(NodeCrash(node=node, at_s=at_s))
+    # Crashes the engine schedules before the run starts run ahead of
+    # the tick at their instant.
+    engine = ChaosEngine(FaultPlan(faults=tuple(scheduled), seed=3)).attach(env)
+
+    def killer(crash):
+        # Lands behind the tick at its instant: the killer's wake-up is
+        # created after the detector's.
+        previous = crash.at_s - detector.period
+        yield env.sleep_until(previous)
+        yield env.sleep(0.0)  # behind the tick at `previous`
+        yield env.sleep_until(crash.at_s)
+        engine._execute_crash(crash)
+
+    for crash in killed:
+        env.process(killer(crash))
+
+    def horizon():
+        yield env.sleep_until(HORIZON_S[runtime])
+        raise _Unfinished(f"still running at {env.now} s")
+
+    env.process(horizon(), name="horizon")
+    assert env.now == 0.0
+    error = None
+    try:
+        system.run()
+    except (ClusterFailedError, _Unfinished) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    return (
+        error,
+        run_digest(system.stats, master=system.commit.master, chaos=engine),
+        system.stats.ft_heartbeats,
+        dict(detector.last_heard),
+        env.now,
+    )
+
+
+@st.composite
+def crash_scenarios(draw):
+    runtime = draw(st.sampled_from(("dsmtx", "specfor")))
+    replicated = draw(st.booleans())
+    # DSMTX runs span hundreds of beats, specfor runs tens.
+    scale = 10 if runtime == "dsmtx" else 1
+    targets = list(TARGETS[runtime, replicated])
+    crashes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        target = draw(st.sampled_from(targets))
+        targets.remove(target)  # one crash per node
+        if target in ("commit", "standby") and replicated:
+            # Losing both leaves no detector to declare either loss: the
+            # survivors would beat forever.
+            targets = [t for t in targets if t not in ("commit", "standby")]
+        beat = scale * draw(st.integers(min_value=2, max_value=30))
+        offset = draw(st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=0.95)))
+        after_tick = offset == 0.0 and draw(st.booleans())
+        crashes.append((target, beat, offset, after_tick))
+    return runtime, replicated, crashes
+
+
+@settings(max_examples=60, deadline=None)
+@given(crash_scenarios())
+def test_one_tick_detector_simulates_exactly_the_per_node_processes(scenario):
+    """Crash worker, commit, standby or try-commit nodes — one or two,
+    at or between beat instants, ahead of or behind that instant's tick
+    — in both runtimes, replicated or not: the tick detector and the
+    per-node emitter, sweep and watcher processes give the same run
+    digest, heartbeat count, last-heard table and error."""
+    new = _differential_outcome(False, *scenario)
+    old = _differential_outcome(True, *scenario)
+    assert new == old
+
+
+def test_node_handle_dies_with_its_node_and_rejects_foreign_causes():
+    system = build()
+    system.failure_detector.start()
+    (handle,) = system.processes_on_node(0)
+    assert handle.is_alive
+    with pytest.raises(ProcessInterrupt):
+        handle.interrupt("not a crash")
+    assert handle.is_alive
+    handle.interrupt(NodeCrashed(0))
+    assert not handle.is_alive
+    handle.interrupt(NodeCrashed(0))  # a second crash is a no-op
+    assert 0 not in system.failure_detector._beating
