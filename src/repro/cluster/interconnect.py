@@ -41,7 +41,7 @@ statistics.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.cluster.node import Machine
 from repro.sim import Environment, Event
@@ -78,15 +78,13 @@ class _Delivery:
     receive NIC is taken on arrival, with no event; a busy one queues
     the message FIFO behind the ones already waiting for it.
     A callback chain instead of a process saves the Initialize event,
-    the generator frame and the process-completion event.  With a
-    (``mailbox``, ``payload``) destination the hand-off is a
-    :meth:`~repro.sim.resources.Store.put_nowait`, with no
-    put-acknowledge event; the transport's management path passes a
-    ``deliver`` callable instead.
+    the generator frame and the process-completion event.  The hand-off
+    is a :meth:`~repro.sim.resources.Store.put_nowait` of ``payload``
+    into ``mailbox``, with no put-acknowledge event.
     """
 
     __slots__ = ("env", "dst_node", "nbytes", "bandwidth", "mailbox",
-                 "payload", "deliver", "_rx")
+                 "payload", "_rx")
 
     def __init__(
         self,
@@ -97,13 +95,11 @@ class _Delivery:
         bandwidth: float,
         mailbox: Any,
         payload: Any,
-        deliver: Optional[Callable[[], Any]],
     ) -> None:
         self.env = env
         self.nbytes = nbytes
         self.mailbox = mailbox
         self.payload = payload
-        self.deliver = deliver
         #: Destination node, or ``None`` for an intra-node transfer.
         self.dst_node = dst_node
         self.bandwidth = bandwidth
@@ -140,10 +136,7 @@ class _Delivery:
         self._finish()
 
     def _finish(self) -> None:
-        if self.mailbox is not None:
-            self.mailbox.put_nowait(self.payload)
-        elif self.deliver is not None:
-            self.deliver()
+        self.mailbox.put_nowait(self.payload)
 
 
 class Interconnect:

@@ -149,9 +149,9 @@ class MPI:
                 yield self.env.sleep(serialization)
             dst_node = None
         if verdict != 1:
-            _Delivery(self.env, dst_node, wire_bytes, latency, bandwidth, box, payload, None)
+            _Delivery(self.env, dst_node, wire_bytes, latency, bandwidth, box, payload)
             if verdict == 2:
-                _Delivery(self.env, dst_node, wire_bytes, latency, bandwidth, box, payload, None)
+                _Delivery(self.env, dst_node, wire_bytes, latency, bandwidth, box, payload)
         if obs is not None:
             obs.tracer.complete(
                 CAT_MPI_SEND, variant.value, PID_CLUSTER, src_rank, start,

@@ -112,8 +112,6 @@ class ClusterSpec:
     #: Retransmissions before the sender gives up on a frame (by then
     #: the failure detector has long declared the destination dead).
     max_retransmits: int = 16
-    #: Wire size of one cumulative acknowledgement frame.
-    ack_bytes: int = 16
     #: Fraction of the *other* monitored nodes the standby-side watcher
     #: must have heard from recently before it may declare the primary
     #: dead (quorum-of-survivors suspicion: a standby that has itself

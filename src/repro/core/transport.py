@@ -12,12 +12,12 @@ number, and the destination's inbox is fronted by an :class:`IngestBox`:
   duplicate and is dropped; one above it is parked in a reorder buffer;
   the expected frame is unwrapped into the real inbox (so the
   :class:`~repro.core.endpoint.Endpoint` machinery above is unchanged).
-* **cumulative ack** — every ingested frame triggers a small ack on the
-  management path telling the sender everything up to the highest
-  in-order sequence number arrived.
+* **cumulative ack** — every ingested frame sends the sender a small ack
+  on the management path: everything up to the highest in-order
+  sequence number has arrived.
 * **retransmit** — the sender keeps unacknowledged frames and re-sends
-  on a per-frame timer with capped exponential backoff
-  (:attr:`ClusterSpec.retransmit_timeout_s` /
+  one that is still unacked when its timer expires, with capped
+  exponential backoff (:attr:`ClusterSpec.retransmit_timeout_s` /
   :attr:`~ClusterSpec.retransmit_backoff` /
   :attr:`~ClusterSpec.retransmit_timeout_cap_s`), giving up after
   :attr:`~ClusterSpec.max_retransmits` attempts (by which point the
@@ -29,12 +29,39 @@ low-volume control network real clusters run alongside the data fabric.
 Their cost is therefore pure latency, never core time — which also
 keeps the transport's bookkeeping off the units' critical paths.
 
+Timers and acks cost an event only when a timer can act:
+
+* **reserved keys** — every timer takes its heap key when it is
+  created (:meth:`~repro.sim.Environment.reserve_key`), even if it is
+  scheduled later, so it fires at the ``(time, key)`` of the sleep it
+  replaces.
+* **lazy acks** — fault injection never touches the management path, so
+  an ack's arrival is fixed when it is sent.  :meth:`~ReliableTransport.send_ack`
+  records ``(arrival, mark, upto)`` on the sender's link, ``mark``
+  being the last timer key reserved so far, and schedules nothing.  A
+  timer of that link applies, before it reads the unacked frames,
+  exactly the acks whose delivery would have run before it: those
+  arriving earlier, and those arriving at its instant that were sent
+  before its key was reserved (``mark < key``).
+* **one alarm per link** — a frame's first deadline is
+  ``(stamp time + rto, key)``.  These pairs only grow along a link, so
+  the link queues them and keeps one alarm at the earliest unresolved
+  pair.  The alarm skips frames acked by then, runs the timer of a
+  frame still unacked at its own pair, and re-arms at the next.
+  Retransmit timers (attempt ≥ 1) stay one sleep each.
+
+A timer that acts fires at the float instant and key a per-frame timer
+would have had, and one that would find its frame acked did nothing, so
+runs are event-for-event those of one timer per frame and one delivery
+per ack, minus the events that did nothing.
+
 With ``fault_tolerance`` off, none of this is constructed and the send
 paths pay a single ``is None`` check (the obs-layer pattern).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any
 
 from repro.cluster.interconnect import _Delivery
@@ -47,12 +74,23 @@ __all__ = ["ReliableTransport", "IngestBox"]
 class _SenderLink:
     """Sender-side state of one directed (src_tid, dst_tid) link."""
 
-    __slots__ = ("next_seq", "unacked")
+    __slots__ = ("next_seq", "unacked", "acked", "acks", "deadlines", "armed")
 
     def __init__(self) -> None:
         self.next_seq = 0
         #: seq -> (frame, wire_bytes); present until cumulatively acked.
         self.unacked: dict[int, tuple[Frame, int]] = {}
+        #: Highest cumulative ack applied to ``unacked``.
+        self.acked = -1
+        #: Acks sent but not yet applied, ``(arrival, mark, upto)`` in
+        #: arrival order.  Each raises ``upto``: an ack that would not
+        #: is redundant and never recorded.
+        self.acks: deque[tuple[float, int, int]] = deque()
+        #: First-attempt deadlines ``(time, key, seq)`` in stamp order,
+        #: which is (time, key) order: the first timeout is constant.
+        self.deadlines: deque[tuple[float, int, int]] = deque()
+        #: True while the link's alarm is scheduled.
+        self.armed = False
 
 
 class IngestBox:
@@ -151,7 +189,6 @@ class ReliableTransport:
         self._backoff = spec.retransmit_backoff
         self._rto_cap = spec.retransmit_timeout_cap_s
         self._max_retransmits = spec.max_retransmits
-        self._ack_bytes = spec.ack_bytes
         #: Checksum mode (``SystemConfig.integrity``): stamp a CRC32 on
         #: every frame, verify at every ingest.
         self.integrity = system.config.integrity
@@ -169,6 +206,9 @@ class ReliableTransport:
         #: (latency, bandwidth) of the wire between two units, cached.
         self._wire: dict[tuple[int, int], tuple[float, float]] = {}
         self._dead_tids: set[int] = set()
+        #: The last timer key reserved: an ack sent now precedes, at its
+        #: arrival instant, exactly the timers with a greater key.
+        self._last_key = 0
 
     # -- topology helpers ----------------------------------------------------
 
@@ -196,7 +236,7 @@ class ReliableTransport:
 
     def stamp(self, src_tid: int, dst_tid: int, envelope: Any, wire_bytes: int) -> Frame:
         """Wrap ``envelope`` in the next sequence-numbered frame on the
-        (src, dst) link and arm its retransmit timer."""
+        (src, dst) link and queue its first retransmit deadline."""
         link = self._links.get((src_tid, dst_tid))
         if link is None:
             link = self._links[(src_tid, dst_tid)] = _SenderLink()
@@ -209,52 +249,109 @@ class ReliableTransport:
         else:
             frame = Frame(src_tid, dst_tid, seq, envelope)
         link.unacked[seq] = (frame, wire_bytes)
-        self._arm_timer(link, frame, self._rto, 0)
+        env = self.env
+        when = env._now + self._rto
+        self._last_key = key = env.reserve_key()
+        link.deadlines.append((when, key, seq))
+        if not link.armed:
+            self._arm_alarm(link, when, key)
         return frame
 
-    def _arm_timer(self, link: _SenderLink, frame: Frame, timeout: float, attempt: int) -> None:
-        self.env.sleep(timeout).callbacks.append(
-            lambda _event: self._on_timer(link, frame, timeout, attempt)
+    def _arm_alarm(self, link: _SenderLink, when: float, key: int) -> None:
+        link.armed = True
+        self.env.sleep_until(when, key).callbacks.append(
+            lambda _event: self._on_alarm(link, when, key)
         )
 
-    def _on_timer(self, link: _SenderLink, frame: Frame, timeout: float, attempt: int) -> None:
-        if frame.seq not in link.unacked or self.system.state.done:
-            return
+    def _on_alarm(self, link: _SenderLink, when: float, key: int) -> None:
+        """The link's alarm at the deadline ``(when, key)`` of its oldest
+        queued frame: run that frame's first timer if it is still
+        unacked, then re-arm at the next unacked frame's deadline."""
+        self._apply_acks(link, when, key)
+        deadlines = link.deadlines
+        unacked = link.unacked
+        while deadlines:
+            deadline, deadline_key, seq = deadlines[0]
+            if seq not in unacked:
+                deadlines.popleft()
+            elif deadline_key != key:
+                self._arm_alarm(link, deadline, deadline_key)
+                return
+            elif self.system.state.done:
+                return  # every timer is a no-op now: stay armed, never re-arm
+            else:
+                deadlines.popleft()
+                self._expire(link, seq, self._rto, 0)
+        link.armed = False
+
+    def _on_retransmit_timer(
+        self, link: _SenderLink, seq: int, when: float, key: int,
+        timeout: float, attempt: int,
+    ) -> None:
+        self._apply_acks(link, when, key)
+        if seq in link.unacked and not self.system.state.done:
+            self._expire(link, seq, timeout, attempt)
+
+    def _expire(self, link: _SenderLink, seq: int, timeout: float, attempt: int) -> None:
+        """Timer ``attempt`` of frame ``seq``, still unacked: drop it if
+        an end died or it ran out of attempts, else re-send it and arm
+        the next attempt's timer."""
+        frame, wire_bytes = link.unacked[seq]
         if frame.dst_tid in self._dead_tids or frame.src_tid in self._dead_tids:
-            del link.unacked[frame.seq]
+            del link.unacked[seq]
             return
         if attempt >= self._max_retransmits:
             self.stats.ft_retransmit_giveups += 1
-            del link.unacked[frame.seq]
+            del link.unacked[seq]
             return
         self.stats.ft_retransmits += 1
-        _frame, wire_bytes = link.unacked[frame.seq]
         latency, bandwidth = self._wire_of(frame.src_tid, frame.dst_tid)
+        env = self.env
         # Management-path resend: latency-only, no NIC contention.
         _Delivery(
-            self.env, None, wire_bytes, latency, bandwidth,
-            self.ingest_box(frame.dst_tid), _frame, None,
+            env, None, wire_bytes, latency, bandwidth,
+            self.ingest_box(frame.dst_tid), frame,
         )
-        next_timeout = min(timeout * self._backoff, self._rto_cap)
-        self._arm_timer(link, frame, next_timeout, attempt + 1)
+        timeout = min(timeout * self._backoff, self._rto_cap)
+        when = env._now + timeout
+        self._last_key = key = env.reserve_key()
+        env.sleep_until(when, key).callbacks.append(
+            lambda _event: self._on_retransmit_timer(
+                link, seq, when, key, timeout, attempt + 1
+            )
+        )
+
+    def _apply_acks(self, link: _SenderLink, when: float, key: int) -> None:
+        """Apply the link's acks that arrive before ``(when, key)``."""
+        acks = link.acks
+        upto = link.acked
+        while acks:
+            arrival, mark, ack_upto = acks[0]
+            if arrival > when or (arrival == when and mark >= key):
+                break
+            acks.popleft()
+            upto = ack_upto
+        if upto > link.acked:
+            # Cumulative: pop the seq prefix up to ``upto``.  Frames a
+            # timer already dropped are gone from it.
+            unacked = link.unacked
+            for seq in range(link.acked + 1, upto + 1):
+                unacked.pop(seq, None)
+            link.acked = upto
 
     # -- receiver side -------------------------------------------------------
 
     def send_ack(self, src_tid: int, dst_tid: int, upto: int) -> None:
-        """Cumulative ack from ``dst`` back to ``src`` (management path)."""
+        """Cumulative ack from ``dst`` back to ``src`` (management path),
+        recorded on the sender's link for its timers to apply."""
         self.stats.ft_acks += 1
-        latency, bandwidth = self._wire_of(dst_tid, src_tid)
-        _Delivery(
-            self.env, None, self._ack_bytes, latency, bandwidth,
-            None, None, lambda: self._on_ack(src_tid, dst_tid, upto),
-        )
-
-    def _on_ack(self, src_tid: int, dst_tid: int, upto: int) -> None:
         link = self._links.get((src_tid, dst_tid))
-        if link is None or not link.unacked:
+        if link is None:
             return
-        for seq in [s for s in link.unacked if s <= upto]:
-            del link.unacked[seq]
+        acks = link.acks
+        if upto > (acks[-1][2] if acks else link.acked):
+            arrival = self.env._now + self._wire_of(dst_tid, src_tid)[0]
+            acks.append((arrival, self._last_key, upto))
 
     # -- failover ------------------------------------------------------------
 
@@ -265,6 +362,9 @@ class ReliableTransport:
         for (src, dst), link in self._links.items():
             if src in self._dead_tids or dst in self._dead_tids:
                 link.unacked.clear()
+                # Pending acks can only name frames stamped before now.
+                link.acks.clear()
+                link.deadlines.clear()
         for box in self._boxes.values():
             for tid in dead_tids:
                 box.forget_source(tid)

@@ -11,7 +11,8 @@ Design notes
 * Time is a ``float`` in **seconds**.  Computation expressed in CPU cycles
   is converted by the cluster layer (``cycles / clock_hz``).
 * Events scheduled for the same instant fire in scheduling (FIFO) order,
-  which makes runs fully deterministic.
+  which makes runs fully deterministic.  An event scheduled at a key
+  from :meth:`Environment.reserve_key` fires in its reservation's place.
 * A process may be interrupted: :meth:`Process.interrupt` throws a
   :class:`~repro.errors.ProcessInterrupt` into the generator at the point
   of its current ``yield``.
@@ -349,18 +350,37 @@ class Environment:
         heappush(self._queue, (self._now + delay, eid + _P1, timeout))
         return timeout
 
-    def sleep_until(self, when: float) -> Timeout:
+    def reserve_key(self) -> int:
+        """Consume the next creation id and return the heap key that a
+        :meth:`sleep` created at this point would get.
+
+        Pass it to :meth:`sleep_until` later: the event then fires where
+        a sleep created at reservation time would have, among the events
+        of its instant.  Keys stay one counter; a reserved key only lets
+        an event keep the position its creation time gave it.
+        """
+        self._eid = eid = self._eid + 1
+        return eid + _P1
+
+    def sleep_until(self, when: float, key: Optional[int] = None) -> Timeout:
         """A bare timeout that fires at the absolute time ``when``.
 
         Fuses back-to-back waits into one event:
         ``sleep_until((now + a) + b)`` fires at the very float instant
         that ``sleep(a)`` followed by ``sleep(b)`` reaches.  Among events
         of the same time it keeps FIFO order by creation, like
-        :meth:`sleep`.
+        :meth:`sleep`.  With a ``key`` from :meth:`reserve_key` it takes
+        that key's place in the order instead of a fresh one; each
+        reserved key may be scheduled once.
         """
         now = self._now
         if when < now:
             raise ValueError(f"sleep_until({when!r}) is in the past (now={now!r})")
+        if key is None:
+            self._eid = eid = self._eid + 1
+            key = eid + _P1
+        elif not _P1 < key <= self._eid + _P1:
+            raise ValueError(f"sleep_until key {key!r} was never reserved")
         timeout = Timeout.__new__(Timeout)
         timeout.env = self
         timeout.callbacks = []
@@ -368,8 +388,7 @@ class Environment:
         timeout._ok = True
         timeout._defused = True
         timeout.delay = when - now
-        self._eid = eid = self._eid + 1
-        heappush(self._queue, (when, eid + _P1, timeout))
+        heappush(self._queue, (when, key, timeout))
         return timeout
 
     def process(

@@ -291,6 +291,50 @@ def test_sleep_until_keeps_fifo_order_with_same_time_events():
     assert order == ["a", "b", "c", "d"]
 
 
+def test_reserved_key_fires_where_a_sleep_created_at_reservation_would():
+    def run(reserve):
+        env = Environment()
+        order = []
+
+        def mark(name):
+            return lambda _event: order.append(name)
+
+        env.sleep(1.0).callbacks.append(mark("a"))
+        if reserve:
+            key = env.reserve_key()
+        else:
+            env.sleep(1.0).callbacks.append(mark("b"))
+        env.sleep(1.0).callbacks.append(mark("c"))
+
+        def late():
+            yield env.sleep(0.5)
+            env.sleep(0.5).callbacks.append(mark("d"))
+            if reserve:
+                # Scheduled last, fires in the place its key was taken.
+                env.sleep_until(1.0, key).callbacks.append(mark("b"))
+
+        env.process(late())
+        env.run()
+        return order
+
+    assert run(reserve=True) == run(reserve=False) == ["a", "b", "c", "d"]
+
+
+def test_sleep_until_rejects_a_key_that_was_never_reserved():
+    env = Environment()
+    key = env.reserve_key()
+    with pytest.raises(ValueError, match="never reserved"):
+        env.sleep_until(1.0, key + 1)  # past the id counter
+    with pytest.raises(ValueError, match="never reserved"):
+        env.sleep_until(1.0, 1)  # not a key reserve_key hands out
+    late = Environment(2.0)
+    with pytest.raises(ValueError, match="in the past"):
+        late.sleep_until(1.0, late.reserve_key())
+    env.sleep_until(1.0, key)
+    env.run()
+    assert env.now == 1.0
+
+
 def test_events_processed_counts_every_event():
     env = Environment()
 
