@@ -10,15 +10,17 @@ prices the wire: the NIC model of
 
 Ranks are global core indices: every runtime unit is pinned to one core
 and communicates from it.  Messages between a fixed (source,
-destination, tag) triple are delivered in FIFO order.
+destination, tag) triple are delivered in FIFO order.  Each (source,
+destination) pair is checked and resolved once, into a route.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Generator, Optional
 
 from repro.cluster.interconnect import Interconnect, _Delivery
-from repro.cluster.node import Machine
+from repro.cluster.node import Core, Machine
 from repro.cluster.spec import MPIVariant
 from repro.errors import CommunicationError
 from repro.obs.tracer import CAT_MPI_RECV, CAT_MPI_SEND, PID_CLUSTER
@@ -30,6 +32,17 @@ __all__ = ["MPI", "MPIVariant"]
 ENVELOPE_BYTES = 32
 
 
+class _Route:
+    """What every message between one (src, dst) rank pair looks up:
+    both cores, whether the pair spans two nodes (and which), the wire
+    parameters, and the pair's mailboxes by tag."""
+
+    __slots__ = (
+        "src_core", "dst_core", "inter_node", "src_node_index",
+        "dst_node_index", "src_node", "dst_node", "wire", "boxes",
+    )
+
+
 class MPI:
     """Point-to-point messaging between cores with MPI-like costs."""
 
@@ -39,24 +52,66 @@ class MPI:
         self.spec = machine.spec
         self.interconnect = interconnect
         self._mailboxes: dict[tuple[int, int, Any], Store] = {}
-        #: Messages sent, per variant, for diagnostics.
-        self.sent_count: dict[MPIVariant, int] = {v: 0 for v in MPIVariant}
-        # Per-variant sender cost in cycles, resolved once for the send
-        # hot path (one division per variant instead of one per message).
+        self._routes: dict[tuple[int, int], _Route] = {}
+        # Per-variant sender cost in cycles and send count, keyed by the
+        # variant's value string, which hashes in C; an Enum member key
+        # would run the Python-level Enum.__hash__ on every send.
         ipc = self.spec.instructions_per_cycle
         self._variant_cycles = {
-            v: instructions / ipc
+            v._value_: instructions / ipc
             for v, instructions in self.spec.mpi_variant_sender_instructions.items()
         }
+        self._sent = {v._value_: 0 for v in MPIVariant}
         self._recv_cycles = self.spec.mpi_recv_instructions / ipc
+        # The receive overhead as Core.compute realizes it, and per core
+        # the accounting a priced receive does in its place.
+        self._recv_seconds = self._recv_cycles / self.spec.clock_hz
+        self._recv_pay = [
+            partial(core.account, self._recv_cycles) for core in machine.iter_cores()
+        ]
+
+    @property
+    def sent_count(self) -> dict[MPIVariant, int]:
+        """Messages sent, per variant, for diagnostics."""
+        return {v: self._sent[v._value_] for v in MPIVariant}
+
+    def _new_route(self, src_rank: int, dst_rank: int) -> _Route:
+        """Check the pair and resolve its route (first message only)."""
+        if src_rank == dst_rank:
+            raise CommunicationError(
+                f"rank {src_rank} cannot send to or receive from itself"
+            )
+        cores = self.spec.total_cores
+        for rank, role in ((src_rank, "source"), (dst_rank, "destination")):
+            if not 0 <= rank < cores:
+                raise IndexError(
+                    f"no route from rank {src_rank} to rank {dst_rank}: "
+                    f"{role} out of range for {cores} cores"
+                )
+        ic = self.interconnect
+        route = _Route()
+        route.src_core = self.machine.core(src_rank)
+        route.dst_core = self.machine.core(dst_rank)
+        route.src_node_index = ic._node_index_of[src_rank]
+        route.dst_node_index = ic._node_index_of[dst_rank]
+        route.inter_node = route.src_node_index != route.dst_node_index
+        route.src_node = ic._node_of[src_rank]
+        # _Delivery takes no destination node for an intra-node transfer.
+        route.dst_node = ic._node_of[dst_rank] if route.inter_node else None
+        route.wire = ic._inter if route.inter_node else ic._intra
+        route.boxes = {}
+        self._routes[(src_rank, dst_rank)] = route
+        return route
 
     def mailbox(self, src_rank: int, dst_rank: int, tag: Any = 0) -> Store:
         """The FIFO mailbox for (src, dst, tag), created on first use."""
-        key = (src_rank, dst_rank, tag)
-        store = self._mailboxes.get(key)
+        route = self._routes.get((src_rank, dst_rank))
+        if route is None:
+            route = self._new_route(src_rank, dst_rank)
+        store = route.boxes.get(tag)
         if store is None:
-            store = Store(self.env)
-            self._mailboxes[key] = store
+            store = route.boxes[tag] = Store(self.env)
+            self._mailboxes[(src_rank, dst_rank, tag)] = store
         return store
 
     # -- sending ----------------------------------------------------------------
@@ -80,44 +135,39 @@ class MPI:
         with an explicit delivery store — used by the runtime, where a
         unit multiplexes all senders over one inbox.
         """
-        if src_rank == dst_rank:
-            raise CommunicationError(f"send to self (rank {src_rank}) is not supported")
+        route = self._routes.get((src_rank, dst_rank))
+        if route is None:
+            route = self._new_route(src_rank, dst_rank)
         if nbytes < 0:
             raise ValueError(f"negative payload size: {nbytes}")
-        if not 0 <= dst_rank < self.spec.total_cores:
-            raise IndexError(
-                f"send from rank {src_rank} to rank {dst_rank}: destination "
-                f"out of range for {self.spec.total_cores} cores"
-            )
-        obs = self.env.obs
-        start = self.env.now if obs is not None else 0.0
+        env = self.env
+        obs = env.obs
+        start = env.now if obs is not None else 0.0
+        name = variant._value_
         # Pending deferred work and the send overhead, as one wake-up.
-        yield self.machine.core(src_rank).drain_then_compute(
-            self._variant_cycles[variant]
-        )
-        self.sent_count[variant] += 1
-        box = mailbox if mailbox is not None else self.mailbox(src_rank, dst_rank, tag)
+        yield route.src_core.drain_then_compute(self._variant_cycles[name])
+        self._sent[name] += 1
+        if mailbox is None:
+            mailbox = route.boxes.get(tag)
+            if mailbox is None:
+                mailbox = self.mailbox(src_rank, dst_rank, tag)
         # Transmit phase: NIC tx contention and serialization (inter-node)
         # or the memcpy (intra-node); a _Delivery runs the rest.
-        ic = self.interconnect
         wire_bytes = nbytes + ENVELOPE_BYTES
-        node_index_of = ic._node_index_of
-        inter_node = node_index_of[src_rank] != node_index_of[dst_rank]
-        stats = ic.stats
+        stats = self.interconnect.stats
         stats.total_bytes += wire_bytes
         stats.total_messages += 1
+        latency, bandwidth = route.wire
         verdict = 0  # chaos verdicts: 0 deliver, 1 drop, 2 duplicate, 3 corrupt
-        if inter_node:
+        if route.inter_node:
             stats.inter_node_bytes += wire_bytes
-            latency, bandwidth = ic._inter
-            chaos = self.env.chaos
+            chaos = env.chaos
             if chaos is not None:
                 # Fault injection adjudicates inter-node traffic only;
                 # the sender-side costs below are paid regardless (the
                 # packets leave the NIC even if they die on the wire).
                 verdict, latency, bandwidth = chaos.on_wire(
-                    node_index_of[src_rank], node_index_of[dst_rank],
-                    latency, bandwidth,
+                    route.src_node_index, route.dst_node_index, latency, bandwidth,
                 )
                 if verdict == 3:
                     # Silent corruption: deliver once, but with bits
@@ -125,7 +175,7 @@ class MPI:
                     # retransmit buffer keeps the intact original).
                     payload = chaos.corrupt_payload(payload)
                     verdict = 0
-            src_node = ic._node_of[src_rank]
+            src_node = route.src_node
             src_node.bytes_sent += wire_bytes
             nic_tx = src_node.nic_tx
             tx = nic_tx.acquire_nowait()
@@ -136,22 +186,20 @@ class MPI:
             try:
                 serialization = wire_bytes / bandwidth
                 if serialization > 0:
-                    yield self.env.sleep(serialization)
+                    yield env.sleep(serialization)
             finally:
                 nic_tx.release(tx)
-            dst_node = ic._node_of[dst_rank]
         else:
             stats.intra_node_bytes += wire_bytes
-            latency, bandwidth = ic._intra
             # Intra-node: the sender pays the memcpy into the shared buffer.
             serialization = wire_bytes / bandwidth
             if serialization > 0:
-                yield self.env.sleep(serialization)
-            dst_node = None
+                yield env.sleep(serialization)
         if verdict != 1:
-            _Delivery(self.env, dst_node, wire_bytes, latency, bandwidth, box, payload)
+            dst_node = route.dst_node
+            _Delivery(env, dst_node, wire_bytes, latency, bandwidth, mailbox, payload)
             if verdict == 2:
-                _Delivery(self.env, dst_node, wire_bytes, latency, bandwidth, box, payload)
+                _Delivery(env, dst_node, wire_bytes, latency, bandwidth, mailbox, payload)
         if obs is not None:
             obs.tracer.complete(
                 CAT_MPI_SEND, variant.value, PID_CLUSTER, src_rank, start,
@@ -160,45 +208,61 @@ class MPI:
             obs.metrics.counter("mpi.sends").inc()
             obs.metrics.histogram("mpi.send_bytes").observe(nbytes)
 
+    # -- receiving --------------------------------------------------------------
+
     def recv(
         self, dst_rank: int, src_rank: int, tag: Any = 0
     ) -> Generator[Event, Any, Any]:
         """Blocking receive; returns the payload.
 
         Drive with ``payload = yield from mpi.recv(...)`` in the
-        receiving process.  Raises
+        receiving process.  The ranks are checked at the call, with the
+        errors :meth:`send` raises.  Raises
         :class:`~repro.errors.ChannelFlushedError` if the mailbox is
         flushed (misspeculation recovery) while blocked.
         """
-        obs = self.env.obs
-        start = self.env.now if obs is not None else 0.0
-        payload = yield from self.recv_from(
-            dst_rank, self.mailbox(src_rank, dst_rank, tag)
-        )
-        if obs is not None:
-            obs.tracer.complete(
-                CAT_MPI_RECV, "MPI_Recv", PID_CLUSTER, dst_rank, start,
-                src=src_rank,
-            )
-            obs.metrics.counter("mpi.recvs").inc()
-        return payload
+        route = self._routes.get((src_rank, dst_rank))
+        if route is None:
+            route = self._new_route(src_rank, dst_rank)
+        box = route.boxes.get(tag)
+        if box is None:
+            box = self.mailbox(src_rank, dst_rank, tag)
+        return self._receive(route.dst_core, box, src_rank)
 
     def recv_from(self, dst_rank: int, box: Store) -> Generator[Event, Any, Any]:
         """Take the next item of ``box`` at rank ``dst_rank``, priced as
-        an ``MPI_Recv``: drain deferred work, take the item (a waiting
-        one without an event), then pay the receive overhead.
+        an ``MPI_Recv``, like :meth:`recv`.
 
-        The pricing behind :meth:`recv`, also used for stores that are
-        not per-(src, dst, tag) mailboxes, such as a unit's multiplexed
-        inbox.
+        For stores that are not per-(src, dst, tag) mailboxes, such as a
+        unit's multiplexed inbox.
         """
-        core = self.machine.core(dst_rank)
+        return self._receive(self.machine.core(dst_rank), box, None)
+
+    def _receive(
+        self, core: Core, box: Store, src_rank: Optional[int]
+    ) -> Generator[Event, Any, Any]:
+        """The one generator of a receive: drain deferred work, take the
+        item (a waiting one without an event), then pay the receive
+        overhead.  A blocked receive waits on a priced get, which takes
+        the item and pays the overhead in one wake-up whenever that is
+        exact (see :class:`~repro.sim.engine.Handoff`)."""
+        obs = self.env.obs
+        start = self.env.now if obs is not None else 0.0
         yield from core.drain()
         if box.items:
             payload = box.try_get()[1]
+            yield core.compute(self._recv_cycles)
         else:
-            payload = yield box.get()
-        yield core.compute(self._recv_cycles)
+            get = box.get_priced(self._recv_seconds, self._recv_pay[core.index])
+            payload = yield get
+            if not get.paid:
+                yield core.compute(self._recv_cycles)
+        if obs is not None:
+            peer = {} if src_rank is None else {"src": src_rank}
+            obs.tracer.complete(
+                CAT_MPI_RECV, "MPI_Recv", PID_CLUSTER, core.index, start, **peer
+            )
+            obs.metrics.counter("mpi.recvs").inc()
         return payload
 
     def try_recv(self, dst_rank: int, src_rank: int, tag: Any = 0) -> tuple[bool, Any]:

@@ -54,6 +54,13 @@ class Core:
         """Return an event realizing ``instructions`` of work right now."""
         return self.compute(instructions / self._ipc)
 
+    def account(self, cycles: float) -> None:
+        """Count ``cycles`` of work starting now as busy, for a caller
+        that schedules their wake-up itself (a priced receive)."""
+        if cycles < 0:
+            raise ValueError(f"negative cycle count: {cycles}")
+        self.busy_cycles += cycles
+
     # -- deferred costs --------------------------------------------------------
 
     def charge_cycles(self, cycles: float) -> None:

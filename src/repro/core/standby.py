@@ -37,6 +37,7 @@ identical to the fault-free run.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Generator
 
 from repro.core.messages import (
@@ -378,7 +379,7 @@ class ReservationStandby:
         iterations = system.workload.iterations
         #: Shadow of the scheduler state (mirrors ``_RoundEngine``).
         self.max_round = iterations // system.granularity + 1
-        self.shadow_pending: list[int] = list(range(iterations))
+        self.shadow_pending: deque[int] = deque(range(iterations))
         self.shadow_size = max(1, self.max_round // 2)
         self.shadow_round_index = 0
         #: Shadow of the reservation-table counters at the frontier.
@@ -435,11 +436,13 @@ class ReservationStandby:
         record = RoundRecord.from_tuple(fields)
         self.shadow_stats.record_round(record)
         self.replay_log.extend(entries)
-        # Mirror _RoundEngine.complete: the primary took the batch as
-        # the pending prefix of length ``attempted``; carried losers
-        # come back in front of the rest.
-        rest = self.shadow_pending[record.attempted:]
-        self.shadow_pending = list(carried) + rest
+        # Mirror _RoundEngine.begin_round and complete: the primary took
+        # the batch as the pending prefix of length ``attempted``;
+        # carried losers come back in front of the rest.
+        pending = self.shadow_pending
+        for _ in range(record.attempted):
+            pending.popleft()
+        pending.extendleft(reversed(carried))
         self.shadow_size = next_round_size(
             self.shadow_size, record.attempted, record.carried, self.max_round
         )

@@ -1,12 +1,13 @@
 """Observability hub: one tracer + one metrics registry per run.
 
 :func:`instrument` is the single entry point: given a constructed (not
-yet run) :class:`~repro.core.runtime.DSMTXSystem`, it creates an
-:class:`Observability` hub and attaches it to every hook point — the
-system, its simulation environment (where the cluster substrate finds
-it), the unit address spaces, and the run statistics.  All hook sites
-guard on the attribute being ``None``, so a system that was never
-instrumented records nothing and pays only that check.
+yet run) :class:`~repro.core.runtime.DSMTXSystem` or
+:class:`~repro.paradigms.specfor.SpecForSystem`, it creates an
+:class:`Observability` hub and attaches it to every hook point the
+system has — the system, its simulation environment (where the cluster
+substrate finds it), the unit address spaces, and the run statistics.
+All hook sites guard on the attribute being ``None``, so a system that
+was never instrumented records nothing and pays only that check.
 
 Usage::
 
@@ -109,10 +110,43 @@ class Observability:
             m.gauge(f"util.{label}").set(fraction)
 
 
+def _unit_spaces(system) -> list:
+    """``(address space, owner tid)`` of every unit memory ``system``
+    exposes: DSMTX worker spaces and the try-commit shadow, where the
+    runtime has them, and the committed master of either runtime."""
+    spaces = [(worker.space, worker.tid) for worker in getattr(system, "workers", ())]
+    try_commit = getattr(system, "try_commit", None)
+    if try_commit is not None:
+        spaces.append((try_commit.shadow, try_commit.tid))
+    spaces.append((system.commit.master, system.commit_tid))
+    return spaces
+
+
+def _unit_tracks(system) -> tuple[str, list]:
+    """The runtime's process name and its ``(tid, name)`` unit tracks."""
+    workers = getattr(system, "workers", None)
+    if workers is None:  # speculative_for: workers, service, standby
+        tracks = [(w, f"specfor-worker[{w}]") for w in range(system.num_workers)]
+        tracks.append((system.service_tid, "specfor-service"))
+        if system.standby_tid is not None:
+            tracks.append((system.standby_tid, "specfor-standby"))
+        return "speculative_for runtime units", tracks
+    tracks = [
+        (worker.tid, f"worker[{worker.stage_index}.{worker.replica}]")
+        for worker in workers
+    ]
+    tracks.append((system.trycommit_tid, "try-commit"))
+    tracks.append((system.commit_tid, "commit"))
+    tracks.extend(
+        (tid, f"coa-replica[{index}]") for index, tid in enumerate(system.replica_tids)
+    )
+    return "dsmtx runtime units", tracks
+
+
 def instrument(system, capacity: int = 1_000_000) -> Observability:
     """Attach a fresh hub to ``system``; returns the hub.
 
-    Must run before :meth:`DSMTXSystem.run`.  Attaching changes no
+    Must run before the system's ``run()``.  Attaching changes no
     simulated timing — the hooks only *read* the clock — so an
     instrumented run reproduces the uninstrumented run's results
     exactly.
@@ -122,26 +156,16 @@ def instrument(system, capacity: int = 1_000_000) -> Observability:
     system.env.obs = hub
     system.stats.observer = hub
     # Memory hooks: per-unit address spaces report faults/installs.
-    for worker in system.workers:
-        worker.space.obs = hub
-        worker.space.owner_tid = worker.tid
-    system.try_commit.shadow.obs = hub
-    system.try_commit.shadow.owner_tid = system.try_commit.tid
-    system.commit.master.obs = hub
-    system.commit.master.owner_tid = system.commit.tid
+    for space, tid in _unit_spaces(system):
+        space.obs = hub
+        space.owner_tid = tid
     # Perfetto track names.
     tracer = hub.tracer
-    tracer.set_process_name(PID_RUNTIME, "dsmtx runtime units")
+    process_name, tracks = _unit_tracks(system)
+    tracer.set_process_name(PID_RUNTIME, process_name)
     tracer.set_process_name(PID_CLUSTER, "cluster cores")
-    for worker in system.workers:
-        tracer.set_thread_name(
-            PID_RUNTIME, worker.tid,
-            f"worker[{worker.stage_index}.{worker.replica}]",
-        )
-    tracer.set_thread_name(PID_RUNTIME, system.trycommit_tid, "try-commit")
-    tracer.set_thread_name(PID_RUNTIME, system.commit_tid, "commit")
-    for index, tid in enumerate(system.replica_tids):
-        tracer.set_thread_name(PID_RUNTIME, tid, f"coa-replica[{index}]")
+    for tid, name in tracks:
+        tracer.set_thread_name(PID_RUNTIME, tid, name)
     for tid in range(system.num_units):
         core = system.core_of(tid)
         tracer.set_thread_name(PID_CLUSTER, core.index, f"core{core.index}")
@@ -153,10 +177,8 @@ def detach(system) -> None:
     system.obs = None
     system.env.obs = None
     system.stats.observer = None
-    for worker in system.workers:
-        worker.space.obs = None
-    system.try_commit.shadow.obs = None
-    system.commit.master.obs = None
+    for space, _tid in _unit_spaces(system):
+        space.obs = None
 
 
 @contextmanager

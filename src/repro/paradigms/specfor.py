@@ -36,6 +36,7 @@ Three entry points:
 from __future__ import annotations
 
 import difflib
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
@@ -246,7 +247,12 @@ class _RoundEngine:
         if granularity < 1:
             raise ConfigurationError(f"granularity must be >= 1, got {granularity}")
         self.service = service
-        self.pending = list(range(iterations))
+        #: Iterations not yet committed, ascending.  A round pops its
+        #: batch off the front and pushes the carried iterations back in
+        #: front of the rest, so a round costs O(batch), not O(pending);
+        #: between :meth:`begin_round` and :meth:`complete` it holds the
+        #: rest only.
+        self.pending: deque = deque(range(iterations))
         #: Largest round: a 1/granularity slice of the iteration space.
         self.max_round = iterations // granularity + 1
         self.size = max(1, self.max_round // 2)
@@ -255,7 +261,6 @@ class _RoundEngine:
         #: workers' snapshots; starts as the built program state.
         self.delta = _snapshot_entries(service.master)
         self._batch: list = []
-        self._rest: list = []
         self._decisions: list = []
         self._losers: list = []
         self._retries: list = []
@@ -291,7 +296,7 @@ class _RoundEngine:
         one.
         """
         engine = cls(service, iterations, granularity)
-        engine.pending = list(pending)
+        engine.pending = deque(pending)
         engine.size = size
         engine.round_index = round_index
         engine.delta = list(delta)
@@ -300,11 +305,11 @@ class _RoundEngine:
 
     def begin_round(self) -> Optional[tuple]:
         """Next ``(batch, delta)``, or ``None`` when the loop is done."""
-        if not self.pending:
+        pending = self.pending
+        if not pending:
             return None
-        attempted = min(self.size, len(self.pending))
-        self._batch = self.pending[:attempted]
-        self._rest = self.pending[attempted:]
+        popleft = pending.popleft
+        self._batch = [popleft() for _ in range(min(self.size, len(pending)))]
         self._table_mark = self.service.table.counters()
         return self._batch, self.delta
 
@@ -378,7 +383,9 @@ class _RoundEngine:
             merged.update(writes)
         self.delta = sorted(merged.items())
         self.last_carried = carried
-        self.pending = carried + self._rest
+        # Carried iterations come from the batch, a prefix of the
+        # ascending queue, so in front of the rest they keep it ascending.
+        self.pending.extendleft(reversed(carried))
         self.size = _next_round_size(
             self.size, record.attempted, record.carried, self.max_round
         )

@@ -16,6 +16,8 @@ Design notes
 * A process may be interrupted: :meth:`Process.interrupt` throws a
   :class:`~repro.errors.ProcessInterrupt` into the generator at the point
   of its current ``yield``.
+* A :class:`Handoff` folds a waiter's wake-up into the fixed cost the
+  waiter pays next, when that moves no other event in time or order.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.errors import (
     SimulationError,
 )
 
-__all__ = ["Environment", "Event", "Timeout", "Process", "PENDING"]
+__all__ = ["Environment", "Event", "Timeout", "Handoff", "Process", "PENDING"]
 
 #: Sentinel for an event value that has not been set yet.
 PENDING = object()
@@ -155,6 +157,51 @@ class Timeout(Event):
         self.delay = delay
         env._eid = eid = env._eid + 1
         heappush(env._queue, (env._now + delay, eid + _P1, self))
+
+
+class Handoff(Event):
+    """An event whose waiting process pays a fixed cost as soon as it
+    resumes, as in ``value = yield handoff`` followed by a ``seconds``
+    long sleep; :meth:`repro.sim.resources.Store.get_priced` makes one.
+
+    Triggered while the environment processes an event, the handoff is
+    settled once that event is done.  If it would be the next event to
+    run, it fires once, at trigger time + ``seconds``, with the key that
+    the process's sleep would have taken; ``pay()`` accounts the cost at
+    trigger time and ``paid`` is set, so the process must not sleep
+    again.  Otherwise, or with no waiting process, it fires at trigger
+    time with the key :meth:`succeed` took, like any event, and the
+    process pays with its own sleep.  Either way every later event keeps
+    its time and its order; only the wake-up between the two is gone.
+    """
+
+    __slots__ = ("seconds", "pay", "paid", "_key")
+
+    def __init__(self, env: "Environment", seconds: float, pay: Callable[[], Any]) -> None:
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = True
+        self.seconds = seconds
+        self.pay = pay
+        #: True once the handoff fired after the cost (the process paid).
+        self.paid = False
+
+    def succeed(self, value: Any = None) -> "Handoff":
+        if self._value is not PENDING:
+            raise EventAlreadyTriggered(f"{self!r} already triggered")
+        self._ok = True
+        self._value = value
+        env = self.env
+        env._eid = eid = env._eid + 1
+        # A zero cost has no sleep to fold into the wake-up.
+        if env._stepping and self.seconds > 0:
+            self._key = eid + _P1
+            env._handoffs.append(self)
+        else:
+            heappush(env._queue, (env._now, eid + _P1, self))
+        return self
 
 
 class Initialize(Event):
@@ -301,6 +348,11 @@ class Environment:
         self._step_listeners: list[Callable[[Event], None]] = []
         #: Events processed so far (perfbench reports it as ``sim.engine.events``).
         self.events_processed = 0
+        #: True while an event is being processed.
+        self._stepping = False
+        #: Handoffs triggered by the event being processed, settled when
+        #: it is done (see :class:`Handoff`).
+        self._handoffs: list[Handoff] = []
 
     # -- introspection ----------------------------------------------------
 
@@ -530,6 +582,32 @@ class Environment:
         except ValueError:
             pass
 
+    def _settle_handoffs(self, fuse: bool = True) -> None:
+        """Schedule the handoffs that the event just processed triggered.
+
+        A handoff that would run next, before anything else due now,
+        would only resume its process for the process to sleep: it fires
+        after the sleep instead, keyed with the next creation id, which
+        is the id the sleep would have taken because nothing runs in
+        between.  Handoffs settle in trigger order.  With ``fuse`` off
+        (an exception cut the event short) every handoff fires as a
+        plain event.
+        """
+        queue = self._queue
+        now = self._now
+        for handoff in self._handoffs:
+            key = handoff._key
+            if fuse and handoff.callbacks and (
+                not queue or queue[0][0] > now or queue[0][1] > key
+            ):
+                handoff.pay()
+                handoff.paid = True
+                self._eid = eid = self._eid + 1
+                heappush(queue, (now + handoff.seconds, eid + _P1, handoff))
+            else:
+                heappush(queue, (now, key, handoff))
+        self._handoffs.clear()
+
     def step(self) -> None:
         """Process the single next event, advancing the clock."""
         if not self._queue:
@@ -539,14 +617,22 @@ class Environment:
         self.events_processed += 1
         callbacks = event.callbacks
         event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # A failed event that nobody handled: surface the error.
-            raise event._value
-        if self._step_listeners:
-            for listener in self._step_listeners:
-                listener(event)
+        self._stepping = True
+        try:
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused:
+                # A failed event that nobody handled: surface the error.
+                raise event._value
+            if self._step_listeners:
+                for listener in self._step_listeners:
+                    listener(event)
+            if self._handoffs:
+                self._settle_handoffs()
+        finally:
+            self._stepping = False
+            if self._handoffs:
+                self._settle_handoffs(fuse=False)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -572,10 +658,14 @@ class Environment:
         # ``_step_listeners`` in place, so the local alias stays live.
         # The loop body is replicated per stop mode so the common modes
         # (run to an event, run until the queue drains) pay no per-event
-        # checks for the stop conditions they cannot hit.
+        # checks for the stop conditions they cannot hit.  Each event
+        # ends by settling the handoffs it triggered.
         queue = self._queue
         listeners = self._step_listeners
+        handoffs = self._handoffs
+        settle = self._settle_handoffs
         processed = 0
+        self._stepping = True
         try:
             if stop_time != float("inf"):
                 while queue:
@@ -598,6 +688,8 @@ class Environment:
                     if listeners:
                         for listener in listeners:
                             listener(event)
+                    if handoffs:
+                        settle()
             elif stop_event is not None:
                 while queue:
                     if stop_event.callbacks is None:
@@ -615,6 +707,8 @@ class Environment:
                     if listeners:
                         for listener in listeners:
                             listener(event)
+                    if handoffs:
+                        settle()
             else:
                 while queue:
                     item = heappop(queue)
@@ -630,8 +724,13 @@ class Environment:
                     if listeners:
                         for listener in listeners:
                             listener(event)
+                    if handoffs:
+                        settle()
         finally:
             self.events_processed += processed
+            self._stepping = False
+            if handoffs:
+                settle(fuse=False)
 
         if stop_event is not None:
             if not stop_event.triggered:

@@ -13,10 +13,10 @@ Three primitives cover everything the cluster and runtime layers need:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional
 
 from repro.errors import ChannelFlushedError, SimulationError
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, Handoff
 
 __all__ = ["Resource", "Store", "Barrier"]
 
@@ -156,6 +156,22 @@ class Store:
         event = Event(self.env)
         self._getters.append(event)
         return event
+
+    def get_priced(self, seconds: float, pay: Callable[[], Any]) -> Handoff:
+        """:meth:`get` for a getter that spends ``seconds`` of work as
+        soon as it has the item, with ``pay()`` accounting that work.
+
+        The returned :class:`~repro.sim.engine.Handoff` fires once, after
+        the work, when that is exactly what a plain get and a separate
+        sleep would have done; then its ``paid`` is set.  Otherwise it
+        fires like a plain get and the caller sleeps ``seconds`` itself.
+        """
+        handoff = Handoff(self.env, seconds, pay)
+        if self.items:
+            handoff.succeed(self.try_get()[1])
+        else:
+            self._getters.append(handoff)
+        return handoff
 
     def put_nowait(self, item: Any) -> None:
         """Deposit ``item`` without allocating a put-acknowledge event.

@@ -81,3 +81,13 @@ def test_misspec_comb_flows_into_the_run():
     result = run_scenario(spec)
     assert result.ok
     assert result.misspeculations == 2  # iterations 7 and 15
+
+
+def test_traced_specfor_scenario_writes_a_perfetto_trace(tmp_path):
+    spec = ScenarioSpec.from_dict(
+        {"name": "specfor-trace", "benchmark": "spanning_forest",
+         "scheme": "specfor", "iterations": 32, "cores": 8, "trace": True})
+    result = run_scenario(spec, trace_dir=tmp_path)
+    assert result.ok, result.failures
+    assert result.outcome_digest == run_scenario(spec).outcome_digest
+    assert (tmp_path / "specfor-trace.trace.json").is_file()

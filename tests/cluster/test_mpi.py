@@ -170,3 +170,39 @@ def test_variant_ordering_is_stable():
     bsend = _stream_bandwidth(MPIVariant.BSEND, messages=100)
     isend = _stream_bandwidth(MPIVariant.ISEND, messages=100)
     assert send > bsend > isend
+
+
+def make_mpi_8():
+    env = Environment()
+    machine = Machine(env, ClusterSpec(nodes=2, cores_per_node=4))
+    return env, MPI(env, machine, Interconnect(env, machine))
+
+
+def test_receive_from_itself_rejected_at_the_call():
+    # It used to block forever: nothing can ever be sent to oneself.
+    _env, mpi = make_mpi_8()
+    with pytest.raises(CommunicationError):
+        mpi.recv(0, 0)
+    with pytest.raises(CommunicationError):
+        mpi.try_recv(3, 3)
+    assert mpi.flush_all() == 0  # no mailbox was created
+
+
+@pytest.mark.parametrize("dst, src", [(0, 8), (99, 0), (0, -1), (-2, 1)])
+def test_out_of_range_receive_rejected_at_the_call(dst, src):
+    # A source past the last core used to block forever, a destination
+    # past it failed with a bare "list index out of range", and
+    # try_recv reported such a mailbox as empty.
+    _env, mpi = make_mpi_8()
+    with pytest.raises(IndexError, match=f"rank {src} to rank {dst}"):
+        mpi.recv(dst, src)
+    with pytest.raises(IndexError, match=f"rank {src} to rank {dst}"):
+        mpi.try_recv(dst, src)
+    assert mpi.flush_all() == 0
+
+
+def test_out_of_range_source_rejected_by_send():
+    _env, mpi = make_mpi_8()
+    with pytest.raises(IndexError, match="rank 8 to rank 0"):
+        next(mpi.send(8, 0, "x", 8))
+    assert mpi.sent_count[MPIVariant.SEND] == 0

@@ -15,9 +15,14 @@ Three claims, strongest first:
 
 import time
 
+import pytest
+
+from repro.analysis import run_digest
+from repro.chaos import ChaosEngine, FaultPlan, MessageLoss, NodeCrash
 from repro.core import DSMTXSystem, SystemConfig
 from repro.obs import detach, instrument
-from repro.workloads import Crc32
+from repro.paradigms import SpecForSystem
+from repro.workloads import ALL_BENCHMARKS, Crc32
 
 
 def _build(instrumented):
@@ -119,3 +124,42 @@ def test_disabled_wall_clock_overhead_under_5_percent():
     # The enabled run does strictly more work, so the disabled hooks'
     # cost is bounded by any margin the enabled run needs.
     assert disabled <= enabled * 1.05, (disabled, enabled)
+
+
+def _specfor_run(instrumented, fault_tolerant):
+    """A speculative_for run, fault-free or with FT, a standby, loss and a
+    worker crash; returns its digest, the hub and the system."""
+    workload = ALL_BENCHMARKS["spanning_forest"](iterations=48, density=0.7)
+    config = SystemConfig(
+        total_cores=6, placement="spread", fault_tolerance=fault_tolerant,
+        commit_replication=fault_tolerant,
+    )
+    system = SpecForSystem(workload, config, workers=4)
+    engine = None
+    if fault_tolerant:
+        plan = FaultPlan(
+            faults=(MessageLoss(0.05), NodeCrash(node=1, at_s=0.00015)), seed=3
+        )
+        engine = ChaosEngine(plan).attach(system.env)
+    hub = instrument(system) if instrumented else None
+    system.run()
+    digest = run_digest(system.stats, master=system.commit.master, chaos=engine)
+    return digest, hub, system
+
+
+@pytest.mark.parametrize("fault_tolerant", [False, True])
+def test_specfor_instrumentation_is_timing_invariant(fault_tolerant):
+    plain, _hub, _system = _specfor_run(False, fault_tolerant)
+    traced, hub, system = _specfor_run(True, fault_tolerant)
+    assert traced == plain
+    snapshot = hub.metrics.snapshot()
+    assert snapshot["mpi.recvs"] > 0
+    assert snapshot["specfor.rounds"] > 0
+    names = hub.tracer.thread_names
+    assert names[(0, system.num_workers)] == "specfor-service"
+    assert names[(0, 0)] == "specfor-worker[0]"
+    if fault_tolerant:
+        assert names[(0, system.num_workers + 1)] == "specfor-standby"
+    detach(system)
+    assert system.obs is None and system.env.obs is None
+    assert system.commit.master.obs is None

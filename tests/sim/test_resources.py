@@ -269,6 +269,70 @@ def test_store_flush_fails_blocked_putter():
     assert store.level == 0
 
 
+def _priced_getter(env, store, log, seconds=0.25):
+    """A process blocked on ``store.get_priced``; it sleeps ``seconds``
+    itself only when the handoff did not fire after them."""
+
+    def pay():
+        log.append(("pay", env.now))
+
+    def body():
+        get = store.get_priced(seconds, pay)
+        item = yield get
+        if not get.paid:
+            yield env.sleep(seconds)
+        log.append((item, env.now, get.paid))
+
+    return env.process(body())
+
+
+def test_store_get_priced_fires_once_after_the_cost():
+    env = Environment()
+    store = Store(env)
+    log = []
+    _priced_getter(env, store, log)
+    env.sleep_until(1.0).callbacks.append(lambda _event: store.put_nowait("x"))
+    env.run()
+    assert log == [("pay", 1.0), ("x", 1.25, True)]
+    # Start, the put's timer, the handoff, the end: no wake-up at 1.0.
+    assert env.events_processed == 4
+
+
+def test_store_get_priced_with_another_event_due_fires_at_the_handoff():
+    env = Environment()
+    store = Store(env)
+    log = []
+    _priced_getter(env, store, log)
+    env.sleep_until(1.0).callbacks.append(lambda _event: store.put_nowait("x"))
+    env.sleep_until(1.0).callbacks.append(lambda _event: log.append(("tick", env.now)))
+    env.run()
+    assert log == [("tick", 1.0), ("x", 1.25, False)]
+    # Start, two timers, the handoff, the sleep, the end.
+    assert env.events_processed == 6
+
+
+def test_store_get_priced_takes_a_waiting_item_and_pays_in_one_wakeup():
+    env = Environment()
+    store = Store(env)
+    store.put_nowait("x")
+    log = []
+    _priced_getter(env, store, log)
+    env.run()
+    assert log == [("pay", 0.0), ("x", 0.25, True)]
+    assert env.events_processed == 3
+
+
+def test_store_get_priced_outside_event_processing_is_a_plain_get():
+    env = Environment()
+    store = Store(env)
+    log = []
+    _priced_getter(env, store, log)
+    env.run()  # the getter blocks
+    store.put_nowait("x")
+    env.run()
+    assert log == [("x", 0.25, False)]
+
+
 def test_store_capacity_validation():
     env = Environment()
     with pytest.raises(ValueError):
