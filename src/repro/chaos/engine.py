@@ -119,8 +119,10 @@ class ChaosEngine:
         return self
 
     def bind_system(self, system) -> None:
-        """Called by :meth:`DSMTXSystem.run`: learn the unit layout so
-        crashes can be targeted, and validate survivability."""
+        """Called by the system's ``run``: learn the unit layout so
+        crashes can be targeted, and reject a plan the system cannot
+        honour (a crash it cannot survive, a state-corruption target it
+        does not hold or cannot check)."""
         self._system = system
         self._commit_node = system.cluster.node_of_core(
             system._core_indices[system.commit_tid]
@@ -130,14 +132,30 @@ class ChaosEngine:
                 "the plan crashes nodes but SystemConfig.fault_tolerance is off; "
                 "the runtime would hang waiting for the dead units"
             )
-        if any(
-            f.target == "checkpoint" for f in self._state_corruptions
-        ) and not system.config.commit_replication:
+        targets = {f.target for f in self._state_corruptions}
+        if "checkpoint" in targets and not system.config.commit_replication:
             raise ChaosError(
                 'the plan corrupts a checkpoint image but there is no '
                 'standby to hold one; set commit_replication=True (did '
                 'you mean target="memory"?)'
             )
+        if "speculative" in targets and not getattr(system, "workers", ()):
+            raise ChaosError(
+                f'the plan corrupts speculative state but a '
+                f'{type(system).__name__} keeps no speculative worker '
+                f'spaces (its workers compute on snapshots of committed '
+                f'state), so the fault would flip nothing'
+            )
+        if "memory" in targets and system.config.integrity:
+            from repro.paradigms.specfor import SpecForSystem
+
+            if isinstance(system, SpecForSystem):
+                raise ChaosError(
+                    'the plan corrupts committed memory under integrity, '
+                    'but speculative_for runs no committed-page scrubber: '
+                    'its integrity covers frames and checkpoint images '
+                    'only, so the flip would commit undetected'
+                )
 
     # -- the clock: node crashes ---------------------------------------------
 

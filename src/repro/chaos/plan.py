@@ -130,12 +130,14 @@ class StateCorruption:
     memory).  ``target`` picks the victim state:
 
     * ``"memory"`` — committed words in the commit unit's master (the
-      page-digest scrubber's detection case);
+      page-digest scrubber's detection case; ``speculative_for`` runs no
+      scrubber, so its systems reject this target under integrity);
     * ``"checkpoint"`` — the standby's checkpoint image (promotion must
       *refuse* the corrupted image; requires commit replication);
     * ``"speculative"`` — clean committed words cached in a worker's
       space (value-based read validation detects the corrupt read and
-      the ordinary misspeculation re-execution repairs it).
+      the ordinary misspeculation re-execution repairs it; DSMTX and
+      TLS only, ``speculative_for`` workers keep no such space).
     """
 
     target: str
@@ -334,7 +336,9 @@ class FaultPlan:
             faults.append(MessageCorruption(probability=corruption))
         for _ in range(state_corruptions):
             # Committed-memory flips land mid-run like the crashes do;
-            # "memory" is the only target every configuration can host.
+            # "memory" is the one target that needs neither a standby
+            # nor speculative worker spaces (speculative_for under
+            # integrity still rejects it: it runs no scrubber).
             faults.append(
                 StateCorruption(
                     target="memory", at_s=rng.uniform(0.2, 0.7) * horizon_s

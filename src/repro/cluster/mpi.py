@@ -69,6 +69,8 @@ class MPI:
         self._recv_pay = [
             partial(core.account, self._recv_cycles) for core in machine.iter_cores()
         ]
+        #: Cores by global index, for receives that take no route.
+        self._cores = tuple(machine.iter_cores())
 
     @property
     def sent_count(self) -> dict[MPIVariant, int]:
@@ -236,7 +238,9 @@ class MPI:
         For stores that are not per-(src, dst, tag) mailboxes, such as a
         unit's multiplexed inbox.
         """
-        return self._receive(self.machine.core(dst_rank), box, None)
+        if dst_rank < 0:
+            raise IndexError(f"core index {dst_rank} out of range")
+        return self._receive(self._cores[dst_rank], box, None)
 
     def _receive(
         self, core: Core, box: Store, src_rank: Optional[int]

@@ -33,6 +33,12 @@ the last replicated frontier.  Iterations the primary committed past
 that frontier died with its master memory and are re-executed by the
 survivors — deterministically, so the final committed memory is byte-
 identical to the fault-free run.
+
+:class:`ReservationStandby` does the same for the ``speculative_for``
+reservation service.  Both sit on one replicated-image core: the base
+image and replay log, the checkpoint fold with its integrity digest
+check, and the promotion replay, refusal and accounting.  Each class
+adds only its stream's ingest loop and its paradigm's hand-off.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Generator
 
+from repro.core.integrity import space_digest
 from repro.core.messages import (
     REPL_CHECKPOINT,
     REPL_FRONTIER,
@@ -63,33 +70,44 @@ from repro.errors import (
     RecoveryAbort,
 )
 from repro.memory import AddressSpace
-from repro.obs.tracer import CAT_FT_PROMOTION, CAT_FT_REPLICATION, PID_RUNTIME
+from repro.obs.tracer import (
+    CAT_FT_PROMOTION,
+    CAT_FT_REPLICATION,
+    CAT_INTEGRITY,
+    PID_RUNTIME,
+)
 from repro.sim import Event
 
 __all__ = ["StandbyUnit", "ReservationStandby"]
 
 
-class StandbyUnit:
-    """Commit-unit hot standby: replication sink, promotion candidate."""
+class _ImageReplica:
+    """The replicated-image core both standbys share.
 
-    def __init__(self, system: "DSMTXSystem", tid: int) -> None:  # noqa: F821
+    It owns a base image (the primary's committed state as of the last
+    mirrored epoch checkpoint) and a replay log (committed writes since
+    then).  A checkpoint marker folds the log into the image; in
+    integrity mode the marker carries the primary's master digest, and
+    the folded image is checked against it.  At promotion the core
+    refuses a corrupted image, replays the log onto the image, and
+    accounts the promotion.  Subclasses add their stream's ingest loop
+    and their paradigm's hand-off.
+    """
+
+    def __init__(self, system: Any, tid: int, name: str) -> None:
         self.system = system
         self.tid = tid
         self.core = system.core_of(tid)
-        self.endpoint = system.endpoint_of_unit(tid)
         #: Base image: master memory as of the last mirrored checkpoint.
-        self.image = AddressSpace(f"standby{tid}", faulting=False)
+        self.image = AddressSpace(name, faulting=False)
         #: Committed writes since the last checkpoint fold, complete up
         #: to :attr:`frontier` (replayed onto the image at promotion).
         self.replay_log: list[tuple[int, int]] = []
-        #: Writes of the round in progress (no frontier marker yet);
-        #: discarded at promotion — a half-replicated round is not
-        #: known-consistent, its iterations are simply re-executed.
-        self._round: list[tuple[int, int]] = []
         #: Last replicated commit frontier: image + replay log hold
-        #: exactly the committed effects of iterations below this.
+        #: exactly the committed effects up to it (DSMTX: iterations
+        #: below it; speculative_for: that many committed iterations).
         self.frontier = 0
-        #: True once this unit has been promoted to commit unit.
+        #: True once this unit has been promoted.
         self.promoted = False
         #: Integrity mode: verify every fold's result against the
         #: primary's checkpoint digest.
@@ -113,6 +131,169 @@ class StandbyUnit:
         derived from the initial data would be wrong.
         """
         self.image.apply_blocks(master.extract_blocks())
+
+    # -- checkpoint folds --------------------------------------------------------------
+
+    def _fold(self, frontier: int, digest=None) -> None:
+        """Checkpoint marker: fold the replay log into the base image
+        (the standby-side mirror of the primary's epoch checkpoint).
+
+        In integrity mode the marker carries the primary's master
+        digest; after the fold, image and master hold the same
+        committed prefix, so any mismatch means the image (or the
+        stream) was silently corrupted — the image is flagged and a
+        promotion will refuse it."""
+        system = self.system
+        words = len(self.replay_log)
+        if words:
+            self.image.apply_writes(self.replay_log)
+            self.replay_log = []
+            self.core.charge_instructions(
+                words * system.config.checkpoint_word_instructions
+            )
+            system.stats.ft_repl_folded_words += words
+        if digest is not None:
+            self._verify_image(digest, frontier)
+        if not words:
+            return
+        obs = system.obs
+        if obs is not None:
+            obs.tracer.instant(
+                CAT_FT_REPLICATION, f"fold:{frontier}", PID_RUNTIME, self.tid,
+                frontier=frontier, words=words,
+            )
+            obs.metrics.counter("ft.repl_folds").inc()
+
+    def _verify_image(self, digest: int, frontier: int) -> None:
+        """Compare the folded image against the primary's checkpoint
+        digest; flag (or heal) the sticky corruption state."""
+        system = self.system
+        stats = system.stats
+        actual = space_digest(self.image)
+        self.core.charge_instructions(
+            sum(page.word_count for page in self.image.iter_pages())
+            * system.config.checkpoint_word_instructions
+        )
+        obs = system.obs
+        if actual == digest:
+            self._verified_digest = digest
+            if self.image_corrupt:
+                # The corrupted words were overwritten by replayed
+                # committed writes: the image verifies clean again.
+                self.image_corrupt = False
+                stats.ft_corruptions_repaired += 1
+                if obs is not None:
+                    obs.metrics.counter("integrity.image_healed").inc()
+            return
+        if not self.image_corrupt:
+            self.image_corrupt = True
+            stats.ft_corruptions_detected += 1
+            if obs is not None:
+                obs.tracer.instant(
+                    CAT_INTEGRITY, "checkpoint_digest_mismatch",
+                    PID_RUNTIME, self.tid, frontier=frontier,
+                )
+                obs.metrics.counter("integrity.image_corrupt").inc()
+
+    # -- promotion ---------------------------------------------------------------------
+
+    def _begin_promotion(self, request) -> None:
+        """First step of a promotion: consume the request, and in
+        integrity mode refuse (fail-stop) to promote a corrupted image
+        into the new truth."""
+        system = self.system
+        system.state.promote_pending = None
+        if not self._integrity:
+            return
+        # With nothing left to replay, the fold-verified image is
+        # promoted verbatim: re-check its digest to catch corruption
+        # that landed *after* the last fold.  (A nonempty log has no
+        # reference digest at this frontier; the sticky fold-time flag
+        # is the authority there.)
+        if not self.replay_log and self._verified_digest is not None:
+            if space_digest(self.image) != self._verified_digest:
+                self.image_corrupt = True
+                system.stats.ft_corruptions_detected += 1
+        if not self.image_corrupt:
+            return
+        node, dead_tids, detected_at, last_heard_at = request
+        stats = system.stats
+        stats.ft_corruptions_unrepairable += 1
+        stats.failures.append(
+            FailureRecord(
+                node=node,
+                dead_tids=tuple(dead_tids),
+                last_heard_at=last_heard_at,
+                detected_at=detected_at,
+                resumed_at=system.env.now,
+                promoted_tid=self.tid,
+                corrupt_image=True,
+            )
+        )
+        obs = system.obs
+        if obs is not None:
+            obs.tracer.instant(
+                CAT_INTEGRITY, "promotion_refused", PID_RUNTIME,
+                self.tid, node=node, frontier=self.frontier,
+            )
+            obs.metrics.counter("integrity.promotions_refused").inc()
+        raise ClusterFailedError(
+            f"standby tid {self.tid} refuses promotion: its checkpoint "
+            f"image failed the digest check (silent corruption with no "
+            f"clean copy to repair from)"
+        )
+
+    def _replay(self) -> Generator[Event, Any, int]:
+        """Replay the log onto the checkpoint image and pay for it;
+        returns the number of words replayed."""
+        config = self.system.config
+        replayed = len(self.replay_log)
+        if replayed:
+            self.image.apply_writes(self.replay_log)
+            self.replay_log = []
+        self.core.charge_instructions(
+            config.checkpoint_base_instructions
+            + replayed * config.commit_instructions
+        )
+        yield from self.core.drain()
+        self.promoted = True
+        return replayed
+
+    def _account_promotion(
+        self, node: int, detected_at: float, replayed: int, recommitted: int
+    ) -> None:
+        """Count a completed promotion in the run statistics and trace."""
+        system = self.system
+        stats = system.stats
+        stats.ft_promotions += 1
+        stats.ft_replayed_words += replayed
+        obs = system.obs
+        if obs is not None:
+            obs.tracer.complete(
+                CAT_FT_PROMOTION, f"promote:node{node}", PID_RUNTIME, self.tid,
+                detected_at, replayed_words=replayed,
+                frontier=self.frontier, recommitted=recommitted,
+            )
+            obs.metrics.counter("ft.promotions").inc()
+            obs.metrics.counter("ft.replayed_words").inc(replayed)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"<{type(self).__name__} tid={self.tid} frontier={self.frontier} "
+            f"log={len(self.replay_log)}>"
+        )
+
+
+class StandbyUnit(_ImageReplica):
+    """Commit-unit hot standby: replication sink, promotion candidate."""
+
+    def __init__(self, system: "DSMTXSystem", tid: int) -> None:  # noqa: F821
+        super().__init__(system, tid, f"standby{tid}")
+        self.endpoint = system.endpoint_of_unit(tid)
+        #: Writes of the round in progress (no frontier marker yet);
+        #: discarded at promotion — a half-replicated round is not
+        #: known-consistent, its iterations are simply re-executed.
+        self._round: list[tuple[int, int]] = []
 
     # -- main process ------------------------------------------------------------------
 
@@ -177,71 +358,6 @@ class StandbyUnit:
                 obs.metrics.counter("ft.repl_words").inc(words)
         yield from self.core.drain()
 
-    def _fold(self, frontier: int, digest=None) -> None:
-        """Checkpoint marker: fold the replay log into the base image
-        (the standby-side mirror of the primary's epoch checkpoint).
-
-        In integrity mode the marker carries the primary's master
-        digest; after the fold, image and master hold the same
-        committed prefix, so any mismatch means the image (or the
-        stream) was silently corrupted — the image is flagged and a
-        promotion will refuse it."""
-        system = self.system
-        words = len(self.replay_log)
-        if words:
-            self.image.apply_writes(self.replay_log)
-            self.replay_log = []
-            self.core.charge_instructions(
-                words * system.config.checkpoint_word_instructions
-            )
-            system.stats.ft_repl_folded_words += words
-        if digest is not None:
-            self._verify_image(digest, frontier)
-        if not words:
-            return
-        obs = system.obs
-        if obs is not None:
-            obs.tracer.instant(
-                CAT_FT_REPLICATION, f"fold:{frontier}", PID_RUNTIME, self.tid,
-                frontier=frontier, words=words,
-            )
-            obs.metrics.counter("ft.repl_folds").inc()
-
-    def _verify_image(self, digest: int, frontier: int) -> None:
-        """Compare the folded image against the primary's checkpoint
-        digest; flag (or heal) the sticky corruption state."""
-        from repro.core.integrity import space_digest
-
-        system = self.system
-        stats = system.stats
-        actual = space_digest(self.image)
-        self.core.charge_instructions(
-            sum(page.word_count for page in self.image.iter_pages())
-            * system.config.checkpoint_word_instructions
-        )
-        obs = system.obs
-        if actual == digest:
-            self._verified_digest = digest
-            if self.image_corrupt:
-                # The corrupted words were overwritten by replayed
-                # committed writes: the image verifies clean again.
-                self.image_corrupt = False
-                stats.ft_corruptions_repaired += 1
-                if obs is not None:
-                    obs.metrics.counter("integrity.image_healed").inc()
-            return
-        if not self.image_corrupt:
-            self.image_corrupt = True
-            stats.ft_corruptions_detected += 1
-            if obs is not None:
-                from repro.obs.tracer import CAT_INTEGRITY
-
-                obs.tracer.instant(
-                    CAT_INTEGRITY, "checkpoint_digest_mismatch",
-                    PID_RUNTIME, self.tid, frontier=frontier,
-                )
-                obs.metrics.counter("integrity.image_corrupt").inc()
-
     # -- promotion ---------------------------------------------------------------------
 
     def _promote(self, request) -> Generator[Event, Any, None]:
@@ -249,93 +365,24 @@ class StandbyUnit:
         image, take over the primary's seat, then drive the ordinary
         degraded-mode restart from the replicated frontier."""
         system = self.system
-        env = system.env
-        config = system.config
         node, _dead_tids, detected_at, _last_heard_at = request
-        system.state.promote_pending = None
-        if self._integrity:
-            # With nothing left to replay, the fold-verified image is
-            # promoted verbatim: re-check its digest to catch corruption
-            # that landed *after* the last fold.  (A nonempty log has no
-            # reference digest at this frontier; the sticky fold-time
-            # flag is the authority there.)
-            if not self.replay_log and self._verified_digest is not None:
-                from repro.core.integrity import space_digest
-
-                if space_digest(self.image) != self._verified_digest:
-                    self.image_corrupt = True
-                    system.stats.ft_corruptions_detected += 1
-            if self.image_corrupt:
-                stats = system.stats
-                stats.ft_corruptions_unrepairable += 1
-                stats.failures.append(
-                    FailureRecord(
-                        node=node,
-                        dead_tids=tuple(_dead_tids),
-                        last_heard_at=_last_heard_at,
-                        detected_at=detected_at,
-                        resumed_at=env.now,
-                        promoted_tid=self.tid,
-                        corrupt_image=True,
-                    )
-                )
-                obs = system.obs
-                if obs is not None:
-                    from repro.obs.tracer import CAT_INTEGRITY
-
-                    obs.tracer.instant(
-                        CAT_INTEGRITY, "promotion_refused", PID_RUNTIME,
-                        self.tid, node=node, frontier=self.frontier,
-                    )
-                    obs.metrics.counter("integrity.promotions_refused").inc()
-                raise ClusterFailedError(
-                    f"standby tid {self.tid} refuses promotion: its "
-                    f"checkpoint image failed the digest check (silent "
-                    f"corruption with no clean copy to repair from)"
-                )
+        self._begin_promotion(request)
         # A half-replicated round is not known-consistent; its
         # iterations are at or past the frontier and re-execute anyway.
         self._round = []
-        replayed = len(self.replay_log)
-        if self.replay_log:
-            self.image.apply_writes(self.replay_log)
-            self.replay_log = []
-        self.core.charge_instructions(
-            config.checkpoint_base_instructions
-            + replayed * config.commit_instructions
-        )
-        yield from self.core.drain()
-        self.promoted = True
+        replayed = yield from self._replay()
         commit = system.promote_standby(self)
-        promotion_seconds = env.now - detected_at
         commit._promotion = (
-            self.tid, promotion_seconds, replayed, commit._recommitted
+            self.tid, system.env.now - detected_at, replayed, commit._recommitted
         )
-        stats = system.stats
-        stats.ft_promotions += 1
-        stats.ft_replayed_words += replayed
-        obs = system.obs
-        if obs is not None:
-            obs.tracer.complete(
-                CAT_FT_PROMOTION, f"promote:node{node}", PID_RUNTIME, self.tid,
-                detected_at, replayed_words=replayed,
-                frontier=self.frontier, recommitted=commit._recommitted,
-            )
-            obs.metrics.counter("ft.promotions").inc()
-            obs.metrics.counter("ft.replayed_words").inc(replayed)
+        self._account_promotion(node, detected_at, replayed, commit._recommitted)
         # From here on this process *is* the commit unit; its first act
         # is popping the failover request queued by the watcher and
         # running the degraded-mode restart with the survivors.
         yield from commit.run()
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<StandbyUnit tid={self.tid} frontier={self.frontier} "
-            f"log={len(self.replay_log)}>"
-        )
 
-
-class ReservationStandby:
+class ReservationStandby(_ImageReplica):
     """Hot standby of the ``speculative_for`` reservation service.
 
     The reservation service owns the committed image, the ``write_min``
@@ -361,17 +408,7 @@ class ReservationStandby:
     """
 
     def __init__(self, system: "SpecForSystem", tid: int) -> None:  # noqa: F821
-        self.system = system
-        self.tid = tid
-        self.core = system.core_of(tid)
-        #: Base image: committed master as of the last mirrored checkpoint.
-        self.image = AddressSpace(f"sf.standby{tid}", faulting=False)
-        #: Committed round deltas since the last checkpoint fold,
-        #: replayed onto the image at promotion.
-        self.replay_log: list[tuple[int, int]] = []
-        #: Completed rounds replicated so far == committed iterations at
-        #: the shadow's frontier.
-        self.frontier = 0
+        super().__init__(system, tid, f"sf.standby{tid}")
         #: Shadow of the primary's :class:`ReservationStats` (rounds up
         #: to the replicated frontier; becomes the promoted service's
         #: stats object).
@@ -384,19 +421,13 @@ class ReservationStandby:
         self.shadow_round_index = 0
         #: Shadow of the reservation-table counters at the frontier.
         self.table_counters: tuple[int, int] = (0, 0)
-        #: True once this unit has been promoted to reservation service.
-        self.promoted = False
-
-    def seed_image(self, master: AddressSpace) -> None:
-        """Bootstrap the base image from the built program state (the
-        epoch-0 checkpoint, distributed with the program launch)."""
-        self.image.apply_blocks(master.extract_blocks())
 
     # -- main process ------------------------------------------------------------------
 
     def run(self) -> Generator[Event, Any, None]:
         system = self.system
         state = system.state
+        recv = system._receiver(self.tid)
         try:
             while True:
                 if state.promote_pending is not None:
@@ -404,7 +435,7 @@ class ReservationStandby:
                     return
                 if state.done:
                     return
-                msg = yield from system._ft_recv(self.tid)
+                msg = yield from recv()
                 if isinstance(msg, ControlEnvelope):
                     # CTL_PROMOTE wake-up ping; the loop top consumes the
                     # authoritative state.promote_pending.
@@ -414,7 +445,9 @@ class ReservationStandby:
                     self._ingest_round(msg)
                     yield from self.core.drain()
                 elif kind == SF_REPL_CHECKPOINT:
-                    self._fold(msg[1])
+                    # A 3rd element is the primary's master digest at
+                    # the checkpoint (integrity mode).
+                    self._fold(msg[1], msg[2] if len(msg) > 2 else None)
                     yield from self.core.drain()
                 elif kind == SF_STOP:
                     return
@@ -459,26 +492,6 @@ class ReservationStandby:
             if obs is not None:
                 obs.metrics.counter("ft.repl_words").inc(words)
 
-    def _fold(self, frontier: int) -> None:
-        """Checkpoint marker: fold the replay log into the base image."""
-        if not self.replay_log:
-            return
-        system = self.system
-        words = len(self.replay_log)
-        self.image.apply_writes(self.replay_log)
-        self.replay_log = []
-        self.core.charge_instructions(
-            words * system.config.checkpoint_word_instructions
-        )
-        system.stats.ft_repl_folded_words += words
-        obs = system.obs
-        if obs is not None:
-            obs.tracer.instant(
-                CAT_FT_REPLICATION, f"fold:{frontier}", PID_RUNTIME, self.tid,
-                frontier=frontier, words=words,
-            )
-            obs.metrics.counter("ft.repl_folds").inc()
-
     # -- promotion ---------------------------------------------------------------------
 
     def _promote(self, request) -> Generator[Event, Any, None]:
@@ -487,9 +500,8 @@ class ReservationStandby:
         and drive the service loop with the survivors."""
         system = self.system
         env = system.env
-        config = system.config
         node, dead_tids, detected_at, last_heard_at = request
-        system.state.promote_pending = None
+        self._begin_promotion(request)
         # The primary's declaration also sits on failover_pending; the
         # promotion record below is its accounting, and the promoted
         # loop must not re-consume it as a worker failover.
@@ -502,24 +514,14 @@ class ReservationStandby:
                 f"node {node} hosted the reservation service and every "
                 f"remaining worker; nothing survives to re-execute"
             )
-        replayed = len(self.replay_log)
-        if self.replay_log:
-            self.image.apply_writes(self.replay_log)
-            self.replay_log = []
-        self.core.charge_instructions(
-            config.checkpoint_base_instructions
-            + replayed * config.commit_instructions
-        )
-        yield from self.core.drain()
-        self.promoted = True
+        replayed = yield from self._replay()
         # Rounds the primary committed past the replicated frontier died
         # with its master memory; the promoted service re-executes them.
         recommitted = max(
             0, system.service.stats.committed - self.shadow_stats.committed
         )
         _service, engine = system.promote_reservation_service(self)
-        stats = system.stats
-        stats.failures.append(
+        system.stats.failures.append(
             FailureRecord(
                 node=node,
                 dead_tids=tuple(dead_tids),
@@ -535,24 +537,8 @@ class ReservationStandby:
                 recommitted_iterations=recommitted,
             )
         )
-        stats.ft_promotions += 1
-        stats.ft_replayed_words += replayed
-        obs = system.obs
-        if obs is not None:
-            obs.tracer.complete(
-                CAT_FT_PROMOTION, f"promote:node{node}", PID_RUNTIME, self.tid,
-                detected_at, replayed_words=replayed,
-                frontier=self.frontier, recommitted=recommitted,
-            )
-            obs.metrics.counter("ft.promotions").inc()
-            obs.metrics.counter("ft.replayed_words").inc(replayed)
-        # From here on this process *is* the reservation service; the
-        # full=True first broadcast makes every worker rebuild its
-        # snapshot from the replicated image.
-        yield from system._ft_service_loop(engine, self.tid, full_first=True)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<ReservationStandby tid={self.tid} frontier={self.frontier} "
-            f"log={len(self.replay_log)}>"
-        )
+        self._account_promotion(node, detected_at, replayed, recommitted)
+        # From here on this process *is* the reservation service; its
+        # first broadcast carries the full image, so every worker
+        # rebuilds its snapshot from the replicated one.
+        yield from system._service_loop(self.tid, engine)

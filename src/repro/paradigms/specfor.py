@@ -38,10 +38,12 @@ from __future__ import annotations
 import difflib
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional, Sequence
 
 from repro.cluster import MPI, Interconnect, Machine, place_units
 from repro.core.config import SystemConfig
+from repro.core.integrity import CHECKSUM_BYTES, space_digest
 from repro.core.messages import (
     ENTRY_BYTES,
     MARKER_BYTES,
@@ -88,24 +90,13 @@ DONE = 0
 TRY_COMMIT = 1
 TRY_AGAIN = 2
 
-_TAG_ROUND = "sf_round"
-_TAG_RESERVE = "sf_reserve"
-_TAG_VERDICT = "sf_verdict"
-_TAG_COMMIT = "sf_commit"
-#: Single tag for the fault-tolerant path: framed traffic multiplexes
-#: over one reliable-transport inbox per unit, so the protocol phase
-#: travels in the message itself, not the mailbox key.
-_TAG_FT = "sf_ft"
-
-# Fault-tolerant protocol message kinds (first element of the payload).
+# Protocol message kinds (first element of every payload); the stop and
+# standby-stream kinds live in repro.core.messages, shared with the
+# reservation-service standby.
 _MSG_ROUND = "round"
 _MSG_RESERVE = "reserve"
 _MSG_VERDICT = "verdict"
 _MSG_COMMIT = "commit"
-#: Shared with the reservation-service standby (see core/messages.py).
-_MSG_STOP = SF_STOP
-_MSG_REPL_ROUND = SF_REPL_ROUND
-_MSG_REPL_CHECKPOINT = SF_REPL_CHECKPOINT
 
 
 @dataclass(frozen=True)
@@ -386,17 +377,11 @@ class _RoundEngine:
         # Carried iterations come from the batch, a prefix of the
         # ascending queue, so in front of the rest they keep it ascending.
         self.pending.extendleft(reversed(carried))
-        self.size = _next_round_size(
+        self.size = next_round_size(
             self.size, record.attempted, record.carried, self.max_round
         )
         self.round_index += 1
         return record
-
-
-#: Round-size adaptation lives in :mod:`repro.core.reservations` so the
-#: hot-standby replica can mirror the scheduler without importing this
-#: module (which imports the runtime that imports the standby).
-_next_round_size = next_round_size
 
 
 def _snapshot_entries(space: AddressSpace) -> list:
@@ -557,18 +542,14 @@ class SpecForSystem:
         #: the failure detector's per-node handles): the kill set of a
         #: node-crash fault.
         self._node_processes: dict[int, list] = {}
-        #: Reliable ack/retransmit transport; ``None`` keeps the
-        #: fault-free fast path untouched (a single is-None check).
+        #: Reliable ack/retransmit transport; ``None`` without fault
+        #: tolerance, when every send puts its payload in the inbox raw.
         self.transport = (
             ReliableTransport(self) if self.config.fault_tolerance else None
         )
-        #: One multiplexed inbox per unit (fault-tolerant mode): framed
-        #: traffic and failure-detector wake-up pings share it.
-        self._inboxes = (
-            [Store(self.env) for _ in range(self.num_units)]
-            if self.config.fault_tolerance
-            else None
-        )
+        #: One inbox per unit: every protocol message, plus the failure
+        #: detector's wake-up pings under fault tolerance.
+        self._inboxes = [Store(self.env) for _ in range(self.num_units)]
         self.uva = UnifiedVirtualAddressSpace(owners=self.num_units)
         self.site_slots = site.slots
         self.service = ReservationCommitService(site.slots)
@@ -690,147 +671,57 @@ class SpecForSystem:
         return service, engine
 
     # -- unit processes --------------------------------------------------------
-
-    def _service_proc(self):
-        mpi, config, stats = self.mpi, self.config, self.stats
-        rank = self._core_indices[self.service_tid]
-        core = self.machine.core(rank)
-        ipc = self.cluster.instructions_per_cycle
-        check_cycles = config.check_instructions / ipc
-        commit_cycles = config.commit_instructions / ipc
-        worker_ranks = [self._core_indices[w] for w in range(self.num_workers)]
-        engine = _RoundEngine(self.service, self.workload.iterations, self.granularity)
-        obs = self.obs
-        while (start := engine.begin_round()) is not None:
-            batch, delta = start
-            parts = [batch[w :: self.num_workers] for w in range(self.num_workers)]
-            delta_entries = tuple(delta)
-            for w, wrank in enumerate(worker_ranks):
-                nbytes = (
-                    len(parts[w]) * MARKER_BYTES
-                    + len(delta_entries) * ENTRY_BYTES
-                    + MARKER_BYTES
-                )
-                stats.record_queue_bytes("specfor_round", nbytes)
-                yield from mpi.send(
-                    rank, wrank, (parts[w], delta_entries), nbytes, tag=_TAG_ROUND
-                )
-            decisions = []
-            reserved_slots = 0
-            for wrank in worker_ranks:
-                part = yield from mpi.recv(rank, wrank, tag=_TAG_RESERVE)
-                decisions.extend(part)
-                reserved_slots += sum(len(slots) for _i, _st, slots in part)
-            # One write_min application plus one verdict check per
-            # reserved slot, priced like try-commit log checking.
-            core.charge_cycles(check_cycles * 2 * reserved_slots)
-            winners = engine.adjudicate(decisions)
-            winner_set = set(winners)
-            for w, wrank in enumerate(worker_ranks):
-                mine = [i for i in parts[w] if i in winner_set]
-                nbytes = len(mine) * MARKER_BYTES + MARKER_BYTES
-                stats.record_queue_bytes("specfor_verdict", nbytes)
-                yield from mpi.send(rank, wrank, mine, nbytes, tag=_TAG_VERDICT)
-            commit_results = []
-            for wrank in worker_ranks:
-                part = yield from mpi.recv(rank, wrank, tag=_TAG_COMMIT)
-                commit_results.extend(part)
-            record = engine.complete(commit_results)
-            core.charge_cycles(commit_cycles * record.words_committed)
-            stats.committed_mtxs += record.completed
-            stats.words_committed += record.words_committed
-            if obs is not None:
-                metrics = obs.metrics
-                metrics.counter("specfor.rounds").inc()
-                metrics.counter("specfor.committed").inc(record.completed)
-                metrics.counter("specfor.reservation_failures").inc(
-                    record.reservation_failures
-                )
-                metrics.counter("specfor.carried").inc(record.carried)
-                metrics.histogram("specfor.round_size").observe(record.attempted)
-        for wrank in worker_ranks:
-            yield from mpi.send(rank, wrank, None, MARKER_BYTES, tag=_TAG_ROUND)
-
-    def _worker_proc(self, w: int):
-        mpi, config, stats = self.mpi, self.config, self.stats
-        rank = self._core_indices[w]
-        service_rank = self._core_indices[self.service_tid]
-        core = self.machine.core(rank)
-        ipc = self.cluster.instructions_per_cycle
-        access_cycles = config.access_instructions / ipc
-        replica = AddressSpace(f"specfor.replica{w}")
-        step = self.workload.specfor_step()
-        while True:
-            payload = yield from mpi.recv(rank, service_rank, tag=_TAG_ROUND)
-            if payload is None:
-                return
-            assignment, delta = payload
-            core.charge_cycles(access_cycles * len(delta))
-            for address, value in delta:
-                replica.write(address, value)
-            decisions = []
-            cycles = 0.0
-            for iteration in assignment:
-                status, reserved, step_cycles = _run_reserve(
-                    step, replica, iteration, access_cycles
-                )
-                decisions.append((iteration, status, reserved))
-                cycles += step_cycles
-            core.charge_cycles(cycles)
-            nbytes = (
-                sum(len(slots) for _i, _st, slots in decisions) * ENTRY_BYTES
-                + len(decisions) * MARKER_BYTES
-                + MARKER_BYTES
-            )
-            stats.record_queue_bytes("specfor_reserve", nbytes)
-            yield from mpi.send(rank, service_rank, decisions, nbytes, tag=_TAG_RESERVE)
-            winners = yield from mpi.recv(rank, service_rank, tag=_TAG_VERDICT)
-            commit_results = []
-            cycles = 0.0
-            for iteration in winners:
-                ok, writes, step_cycles = _run_commit(
-                    step, replica, iteration, access_cycles
-                )
-                commit_results.append((iteration, ok, writes))
-                cycles += step_cycles
-            core.charge_cycles(cycles)
-            nbytes = (
-                sum(len(writes) for _i, _ok, writes in commit_results) * ENTRY_BYTES
-                + len(commit_results) * MARKER_BYTES
-                + MARKER_BYTES
-            )
-            stats.record_queue_bytes("specfor_commit", nbytes)
-            yield from mpi.send(
-                rank, service_rank, commit_results, nbytes, tag=_TAG_COMMIT
-            )
-
-    # -- fault-tolerant unit processes -----------------------------------------
     #
-    # The fault-free procs above stay byte-for-byte what they were (the
-    # nine pinned specfor goldens depend on it); ``fault_tolerance=True``
-    # swaps in the variants below: every message is framed through the
-    # reliable transport into one multiplexed inbox per unit (dedup /
-    # reorder / ack / retransmit under injected loss and duplication),
-    # replies carry (round, attempt) so stale traffic from an aborted
-    # round is discarded, and the service streams each completed round
-    # to the hot standby.
+    # One worker loop and one service loop for every run.  Every message
+    # goes into the destination unit's one inbox; the protocol phase
+    # travels in the message itself, and replies carry (round, attempt)
+    # so stale traffic from an aborted round is discarded.  With
+    # ``fault_tolerance`` on, each message is framed through the reliable
+    # transport (dedup / reorder / ack / retransmit under injected loss
+    # and duplication), the service takes epoch checkpoints, and it
+    # streams each completed round to the hot standby when one exists.
 
-    def _ft_send(self, src_tid: int, dst_tid: int, payload, nbytes: int):
-        """Frame ``payload`` on the (src, dst) link and send it into the
-        destination's ingest box (sequence numbering + retransmit)."""
-        frame = self.transport.stamp(src_tid, dst_tid, payload, nbytes)
-        yield from self.mpi.send(
-            self._core_indices[src_tid], self._core_indices[dst_tid],
-            frame, nbytes, tag=_TAG_FT,
-            mailbox=self.transport.ingest_box(dst_tid),
+    def _sender(self, src_tid: int):
+        """Unit ``src_tid``'s send: ``send(dst_tid, payload, nbytes,
+        purpose)`` returns the MPI send of ``payload`` (``nbytes`` of
+        protocol data, recorded under ``purpose``) into unit
+        ``dst_tid``'s inbox; drive it with ``yield from``.
+
+        With the reliable transport on, the payload is framed on the
+        (src, dst) link and delivered through the destination's ingest
+        box, and the frame's own bytes are priced too; otherwise it goes
+        into the inbox raw (the ``Endpoint.send_ctl`` pattern).  What
+        does not change between sends is bound once, so a send costs one
+        call on top of the MPI send.
+        """
+        transport = self.transport
+        inboxes = self._inboxes
+        ranks = self._core_indices
+        src_rank = ranks[src_tid]
+        record = self.stats.record_queue_bytes
+        mpi_send = self.mpi.send
+
+        def send(dst_tid: int, payload, nbytes: int, purpose: str):
+            if transport is None:
+                box = inboxes[dst_tid]
+            else:
+                nbytes += transport.extra_bytes
+                payload = transport.stamp(src_tid, dst_tid, payload, nbytes)
+                box = transport.ingest_box(dst_tid)
+            record(purpose, nbytes)
+            return mpi_send(src_rank, ranks[dst_tid], payload, nbytes, mailbox=box)
+
+        return send
+
+    def _receiver(self, tid: int):
+        """Unit ``tid``'s receive: a callable returning a blocking receive
+        from its inbox, priced by :meth:`repro.cluster.mpi.MPI.recv_from`
+        like an ``MPI_Recv``.  Drive it with ``yield from recv()``."""
+        return partial(
+            self.mpi.recv_from, self._core_indices[tid], self._inboxes[tid]
         )
 
-    def _ft_recv(self, tid: int):
-        """Blocking receive from a unit's multiplexed inbox, priced by
-        :meth:`repro.cluster.mpi.MPI.recv_from` like an ``MPI_Recv``."""
-        return self.mpi.recv_from(self._core_indices[tid], self._inboxes[tid])
-
-    def _ft_note_failures(self, engine, in_flight: int) -> bool:
+    def _note_failures(self, engine, in_flight: int) -> bool:
         """Consume pending node-failure declarations (service side).
 
         Returns True when a live worker died — the in-flight round must
@@ -868,209 +759,202 @@ class SpecForSystem:
                 self.obs.metrics.counter("ft.failovers").inc()
         return aborted
 
-    def _ft_run_round(
-        self, engine, tid: int, core, batch, delta, attempt: int,
+    def _run_round(
+        self, engine, send, recv, core, batch, delta, attempt: int,
         full: bool, check_cycles: float,
     ):
-        """One attempt at one round; returns the RoundRecord, or None
-        when a worker death aborted the attempt (re-issue with the
-        survivors)."""
-        stats = self.stats
+        """One attempt at one round, with the service's ``send`` and
+        ``recv``; returns the RoundRecord, or None when a worker death
+        aborted the attempt (re-issue with the survivors).  Replies are
+        gathered in arrival order."""
         live = list(self.live_workers)
         round_index = engine.round_index
         parts = {w: batch[i :: len(live)] for i, w in enumerate(live)}
         delta_entries = tuple(delta)
+        delta_bytes = len(delta_entries) * ENTRY_BYTES + MARKER_BYTES
         for w in live:
-            nbytes = (
-                len(parts[w]) * MARKER_BYTES
-                + len(delta_entries) * ENTRY_BYTES
-                + MARKER_BYTES
-                + self.transport.extra_bytes
-            )
-            stats.record_queue_bytes("specfor_round", nbytes)
-            yield from self._ft_send(
-                tid, w,
-                (_MSG_ROUND, round_index, attempt, parts[w], delta_entries, full),
-                nbytes,
+            part = parts[w]
+            yield from send(
+                w, (_MSG_ROUND, round_index, attempt, part, delta_entries, full),
+                len(part) * MARKER_BYTES + delta_bytes, "specfor_round",
             )
         decisions = []
         reserved_slots = 0
-        want = set(live)
-        got: set = set()
-        while got != want:
-            msg = yield from self._ft_recv(tid)
-            if isinstance(msg, ControlEnvelope):
-                if self._ft_note_failures(engine, in_flight=len(batch)):
-                    # Pre-adjudication: no reservation was applied yet,
-                    # the attempt simply restarts over the survivors.
-                    return None
-                continue
-            if msg[0] == _MSG_RESERVE and msg[1] == round_index and msg[2] == attempt:
-                w = msg[3]
-                if w in want and w not in got:
-                    got.add(w)
+        waiting = set(live)
+        while waiting:
+            msg = yield from recv()
+            if msg[0] == _MSG_RESERVE:
+                # Anything else is a stale reply from an aborted attempt
+                # (or a dead primary's epoch): the tags filter it out.
+                if msg[1] == round_index and msg[2] == attempt and msg[3] in waiting:
+                    waiting.remove(msg[3])
                     part = msg[4]
                     decisions.extend(part)
                     reserved_slots += sum(len(slots) for _i, _st, slots in part)
-            # Anything else is a stale reply from an aborted attempt (or
-            # a dead primary's epoch) — the attempt tag filters it out.
+            elif isinstance(msg, ControlEnvelope) and self._note_failures(
+                engine, in_flight=len(batch)
+            ):
+                # Pre-adjudication: no reservation was applied yet, the
+                # attempt simply restarts over the survivors.
+                return None
+        # One write_min application plus one verdict check per reserved
+        # slot, priced like try-commit log checking.
         core.charge_cycles(check_cycles * 2 * reserved_slots)
         winners = engine.adjudicate(decisions)
         winner_set = set(winners)
         for w in live:
             mine = [i for i in parts[w] if i in winner_set]
-            nbytes = len(mine) * MARKER_BYTES + MARKER_BYTES + self.transport.extra_bytes
-            stats.record_queue_bytes("specfor_verdict", nbytes)
-            yield from self._ft_send(
-                tid, w, (_MSG_VERDICT, round_index, attempt, mine), nbytes
+            yield from send(
+                w, (_MSG_VERDICT, round_index, attempt, mine),
+                len(mine) * MARKER_BYTES + MARKER_BYTES, "specfor_verdict",
             )
         commit_results = []
-        got = set()
-        while got != want:
-            msg = yield from self._ft_recv(tid)
-            if isinstance(msg, ControlEnvelope):
-                if self._ft_note_failures(engine, in_flight=len(batch)):
-                    # Post-adjudication: the dead worker's reservations
-                    # are already in the table — void them and roll the
-                    # counters back to the round-start checkpoint.
-                    engine.abort_round()
-                    return None
-                continue
-            if msg[0] == _MSG_COMMIT and msg[1] == round_index and msg[2] == attempt:
-                w = msg[3]
-                if w in want and w not in got:
-                    got.add(w)
+        waiting = set(live)
+        while waiting:
+            msg = yield from recv()
+            if msg[0] == _MSG_COMMIT:
+                if msg[1] == round_index and msg[2] == attempt and msg[3] in waiting:
+                    waiting.remove(msg[3])
                     commit_results.extend(msg[4])
+            elif isinstance(msg, ControlEnvelope) and self._note_failures(
+                engine, in_flight=len(batch)
+            ):
+                # Post-adjudication: the dead worker's reservations are
+                # already in the table — void them and roll the counters
+                # back to the round-start checkpoint.
+                engine.abort_round()
+                return None
         return engine.complete(commit_results)
 
-    def _ft_service_loop(self, engine, tid: int, full_first: bool):
-        """The round scheduler under fault tolerance.
+    def _service_loop(self, tid: int, engine: Optional[_RoundEngine] = None):
+        """The reservation service's main process: run rounds until the
+        loop is done, then stop the workers and the standby.
 
-        Shared between the initial service process and a promoted
-        standby (which enters with ``full_first=True`` so every worker
-        rebuilds its snapshot from the replicated image).
+        The initial service builds its round engine.  A promoted standby
+        passes the engine it resumed at its shadow of the primary's
+        scheduling state; its first broadcast then carries the full
+        image, so every worker rebuilds its snapshot.
         """
-        config, stats = self.config, self.stats
+        config, stats, state = self.config, self.stats, self.state
         core = self.machine.core(self._core_indices[tid])
         ipc = self.cluster.instructions_per_cycle
         check_cycles = config.check_instructions / ipc
         commit_cycles = config.commit_instructions / ipc
         obs = self.obs
-        full = full_first
+        send = self._sender(tid)
+        recv = self._receiver(tid)
+        full = engine is not None
+        if engine is None:
+            engine = _RoundEngine(
+                self.service, self.workload.iterations, self.granularity
+            )
         spec = engine.service.stats
         ckpt_committed = spec.committed
         ckpt_words = spec.words_committed
-        while True:
-            self._ft_note_failures(engine, in_flight=0)
-            start = engine.begin_round()
-            if start is None:
-                break
-            batch, delta = start
-            attempt = 0
-            while True:
-                record = yield from self._ft_run_round(
-                    engine, tid, core, batch, delta, attempt, full, check_cycles
-                )
-                if record is not None:
-                    break
-                attempt += 1
-                stats.ft_round_reexecutions += 1
-                if obs is not None:
-                    obs.metrics.counter("ft.round_reexecutions").inc()
-            full = False
-            core.charge_cycles(commit_cycles * record.words_committed)
-            stats.committed_mtxs += record.completed
-            stats.words_committed += record.words_committed
-            if obs is not None:
-                metrics = obs.metrics
-                metrics.counter("specfor.rounds").inc()
-                metrics.counter("specfor.committed").inc(record.completed)
-                metrics.counter("specfor.reservation_failures").inc(
-                    record.reservation_failures
-                )
-                metrics.counter("specfor.carried").inc(record.carried)
-                metrics.histogram("specfor.round_size").observe(record.attempted)
-            if self.standby_alive:
-                entries = tuple(engine.delta)
-                carried = tuple(engine.last_carried)
-                nbytes = (
-                    len(entries) * ENTRY_BYTES
-                    + len(carried) * MARKER_BYTES
-                    + 8 * MARKER_BYTES
-                    + self.transport.extra_bytes
-                )
-                stats.record_queue_bytes("repl", nbytes)
-                yield from self._ft_send(
-                    tid, self.standby_tid,
-                    (
-                        _MSG_REPL_ROUND, record.as_tuple(), entries, carried,
-                        engine.service.table.counters(),
-                    ),
-                    nbytes,
-                )
-            if spec.committed - ckpt_committed >= config.checkpoint_interval_mtxs:
-                words = spec.words_committed - ckpt_words
-                core.charge_instructions(
-                    config.checkpoint_base_instructions
-                    + words * config.checkpoint_word_instructions
-                )
-                stats.checkpoints.append(
-                    CheckpointRecord(
-                        iteration=spec.committed, words=words, at=self.env.now
-                    )
-                )
-                ckpt_committed = spec.committed
-                ckpt_words = spec.words_committed
-                if self.standby_alive:
-                    nbytes = 2 * MARKER_BYTES + self.transport.extra_bytes
-                    stats.record_queue_bytes("repl", nbytes)
-                    yield from self._ft_send(
-                        tid, self.standby_tid,
-                        (_MSG_REPL_CHECKPOINT, spec.committed), nbytes,
-                    )
-        for w in list(self.live_workers):
-            nbytes = MARKER_BYTES + self.transport.extra_bytes
-            stats.record_queue_bytes("specfor_round", nbytes)
-            yield from self._ft_send(tid, w, (_MSG_STOP,), nbytes)
-        if self.standby_alive:
-            nbytes = MARKER_BYTES + self.transport.extra_bytes
-            stats.record_queue_bytes("repl", nbytes)
-            yield from self._ft_send(tid, self.standby_tid, (_MSG_STOP,), nbytes)
-        # state.terminate() happens in run() *after* env.run completes:
-        # terminating here would self-cancel the retransmit timers of
-        # stop frames still in flight, stranding a worker whose stop a
-        # loss fault dropped.
-
-    def _ft_service_proc(self):
-        engine = _RoundEngine(
-            self.service, self.workload.iterations, self.granularity
-        )
         try:
-            yield from self._ft_service_loop(
-                engine, self.service_tid, full_first=False
-            )
+            while True:
+                if state.failover_pending:
+                    self._note_failures(engine, in_flight=0)
+                start = engine.begin_round()
+                if start is None:
+                    break
+                batch, delta = start
+                attempt = 0
+                while True:
+                    record = yield from self._run_round(
+                        engine, send, recv, core, batch, delta, attempt, full,
+                        check_cycles,
+                    )
+                    if record is not None:
+                        break
+                    attempt += 1
+                    stats.ft_round_reexecutions += 1
+                    if obs is not None:
+                        obs.metrics.counter("ft.round_reexecutions").inc()
+                full = False
+                core.charge_cycles(commit_cycles * record.words_committed)
+                stats.committed_mtxs += record.completed
+                stats.words_committed += record.words_committed
+                if obs is not None:
+                    metrics = obs.metrics
+                    metrics.counter("specfor.rounds").inc()
+                    metrics.counter("specfor.committed").inc(record.completed)
+                    metrics.counter("specfor.reservation_failures").inc(
+                        record.reservation_failures
+                    )
+                    metrics.counter("specfor.carried").inc(record.carried)
+                    metrics.histogram("specfor.round_size").observe(record.attempted)
+                if self.standby_alive:
+                    entries = tuple(engine.delta)
+                    carried = tuple(engine.last_carried)
+                    yield from send(
+                        self.standby_tid,
+                        (
+                            SF_REPL_ROUND, record.as_tuple(), entries, carried,
+                            engine.service.table.counters(),
+                        ),
+                        len(entries) * ENTRY_BYTES
+                        + len(carried) * MARKER_BYTES
+                        + 8 * MARKER_BYTES,
+                        "repl",
+                    )
+                # Epoch checkpoints follow fault_tolerance, as in the
+                # DSMTX commit unit.
+                if (
+                    config.fault_tolerance
+                    and spec.committed - ckpt_committed
+                    >= config.checkpoint_interval_mtxs
+                ):
+                    words = spec.words_committed - ckpt_words
+                    core.charge_instructions(
+                        config.checkpoint_base_instructions
+                        + words * config.checkpoint_word_instructions
+                    )
+                    stats.checkpoints.append(
+                        CheckpointRecord(
+                            iteration=spec.committed, words=words, at=self.env.now
+                        )
+                    )
+                    ckpt_committed = spec.committed
+                    ckpt_words = spec.words_committed
+                    if self.standby_alive:
+                        marker = (SF_REPL_CHECKPOINT, spec.committed)
+                        nbytes = 2 * MARKER_BYTES
+                        if config.integrity:
+                            # End-to-end checkpoint digest: the standby
+                            # folds its replay log at this marker and
+                            # verifies the result against the master.
+                            marker += (space_digest(engine.service.master),)
+                            nbytes += CHECKSUM_BYTES
+                        yield from send(self.standby_tid, marker, nbytes, "repl")
+            for w in list(self.live_workers):
+                yield from send(w, (SF_STOP,), MARKER_BYTES, "specfor_round")
+            if self.standby_alive:
+                yield from send(self.standby_tid, (SF_STOP,), MARKER_BYTES, "repl")
         except ProcessInterrupt as interrupt:
             if isinstance(interrupt.cause, NodeCrashed):
                 # The service's node died; the standby-side watcher
                 # declares it and the standby takes over.
                 return
             raise
+        # state.terminate() happens in run() *after* env.run completes:
+        # terminating here would self-cancel the retransmit timers of
+        # stop frames still in flight, stranding a worker whose stop a
+        # loss fault dropped.
 
-    def _ft_worker_proc(self, w: int):
-        config, stats = self.config, self.stats
+    def _worker_loop(self, w: int):
         core = self.machine.core(self._core_indices[w])
-        ipc = self.cluster.instructions_per_cycle
-        access_cycles = config.access_instructions / ipc
+        access_cycles = (
+            self.config.access_instructions / self.cluster.instructions_per_cycle
+        )
         replica = AddressSpace(f"specfor.replica{w}")
         step = self.workload.specfor_step()
+        send = self._sender(w)
+        recv = self._receiver(w)
         try:
             while True:
-                msg = yield from self._ft_recv(w)
-                if isinstance(msg, ControlEnvelope):
-                    continue
+                msg = yield from recv()
                 kind = msg[0]
-                if kind == _MSG_STOP:
-                    return
                 if kind == _MSG_ROUND:
                     _kind, round_index, attempt, assignment, delta, full = msg
                     if full:
@@ -1092,18 +976,13 @@ class SpecForSystem:
                         decisions.append((iteration, status, reserved))
                         cycles += step_cycles
                     core.charge_cycles(cycles)
-                    nbytes = (
-                        sum(len(slots) for _i, _st, slots in decisions)
-                        * ENTRY_BYTES
-                        + len(decisions) * MARKER_BYTES
-                        + MARKER_BYTES
-                        + self.transport.extra_bytes
-                    )
-                    stats.record_queue_bytes("specfor_reserve", nbytes)
-                    yield from self._ft_send(
-                        w, self.commit_tid,
+                    yield from send(
+                        self.commit_tid,
                         (_MSG_RESERVE, round_index, attempt, w, decisions),
-                        nbytes,
+                        sum(len(slots) for _i, _st, slots in decisions) * ENTRY_BYTES
+                        + len(decisions) * MARKER_BYTES
+                        + MARKER_BYTES,
+                        "specfor_reserve",
                     )
                 elif kind == _MSG_VERDICT:
                     _kind, round_index, attempt, winners = msg
@@ -1116,19 +995,17 @@ class SpecForSystem:
                         commit_results.append((iteration, ok, writes))
                         cycles += step_cycles
                     core.charge_cycles(cycles)
-                    nbytes = (
+                    yield from send(
+                        self.commit_tid,
+                        (_MSG_COMMIT, round_index, attempt, w, commit_results),
                         sum(len(writes) for _i, _ok, writes in commit_results)
                         * ENTRY_BYTES
                         + len(commit_results) * MARKER_BYTES
-                        + MARKER_BYTES
-                        + self.transport.extra_bytes
+                        + MARKER_BYTES,
+                        "specfor_commit",
                     )
-                    stats.record_queue_bytes("specfor_commit", nbytes)
-                    yield from self._ft_send(
-                        w, self.commit_tid,
-                        (_MSG_COMMIT, round_index, attempt, w, commit_results),
-                        nbytes,
-                    )
+                elif kind == SF_STOP:
+                    return
         except ProcessInterrupt as interrupt:
             if isinstance(interrupt.cause, NodeCrashed):
                 return
@@ -1147,37 +1024,27 @@ class SpecForSystem:
     def run(self) -> RunResult:
         """Drive the loop to completion; returns the usual RunResult."""
         start = self.env.now
-        if self.config.fault_tolerance:
-            processes = [
-                self._spawn_unit(w, self._ft_worker_proc(w), f"specfor.worker{w}")
-                for w in range(self.num_workers)
-            ]
+        processes = [
+            self._spawn_unit(w, self._worker_loop(w), f"specfor.worker{w}")
+            for w in range(self.num_workers)
+        ]
+        processes.append(
+            self._spawn_unit(
+                self.service_tid, self._service_loop(self.service_tid),
+                "specfor.service",
+            )
+        )
+        if self.standby is not None:
+            # The initial image is the epoch-0 checkpoint: the standby
+            # starts from the same program state as the primary.
+            self.standby.seed_image(self.service.master)
             processes.append(
                 self._spawn_unit(
-                    self.service_tid, self._ft_service_proc(), "specfor.service"
+                    self.standby_tid, self.standby.run(), "specfor.standby"
                 )
             )
-            if self.standby is not None:
-                # The initial image is the epoch-0 checkpoint: the
-                # standby starts from the same program state as the
-                # primary.
-                self.standby.seed_image(self.service.master)
-                processes.append(
-                    self._spawn_unit(
-                        self.standby_tid, self.standby.run(), "specfor.standby"
-                    )
-                )
+        if self.failure_detector is not None:
             self.failure_detector.start()
-        else:
-            processes = [
-                self._spawn_unit(w, self._worker_proc(w), f"specfor.worker{w}")
-                for w in range(self.num_workers)
-            ]
-            processes.append(
-                self._spawn_unit(
-                    self.service_tid, self._service_proc(), "specfor.service"
-                )
-            )
         if self.env.chaos is not None:
             self.env.chaos.bind_system(self)
         self.env.run(until=self.env.all_of(processes))

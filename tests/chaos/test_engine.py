@@ -148,3 +148,61 @@ def test_crash_plan_requires_fault_tolerant_runtime():
     )
     with pytest.raises(ChaosError, match="fault_tolerance"):
         system.run()
+
+
+def test_checkpoint_corruption_requires_a_standby():
+    from repro.chaos import StateCorruption
+    from repro.core import DSMTXSystem, SystemConfig
+    from tests.core.toys import ToyDoall
+
+    system = DSMTXSystem(
+        ToyDoall(iterations=8).dsmtx_plan(),
+        SystemConfig(total_cores=8, fault_tolerance=True),
+    )
+    plan = FaultPlan(faults=(StateCorruption("checkpoint", at_s=0.001),))
+    ChaosEngine(plan).attach(system.env)
+    with pytest.raises(ChaosError, match="no standby"):
+        system.run()
+
+
+def _specfor_system(**config):
+    from repro.core import SystemConfig
+    from repro.paradigms import SpecForSystem
+    from repro.workloads import SpanningForest
+
+    return SpecForSystem(
+        SpanningForest(iterations=16, density=0.7),
+        SystemConfig(total_cores=4, **config),
+        workers=2,
+    )
+
+
+def test_speculative_corruption_requires_speculative_worker_spaces():
+    # speculative_for workers compute on snapshots of committed state:
+    # a "speculative" flip would find no word to flip, and a plan that
+    # silently does nothing must not pass for a tested fault.
+    from repro.chaos import StateCorruption
+
+    system = _specfor_system()
+    plan = FaultPlan(faults=(StateCorruption("speculative", at_s=1e-6),))
+    ChaosEngine(plan).attach(system.env)
+    with pytest.raises(ChaosError, match="no speculative worker"):
+        system.run()
+
+
+def test_memory_corruption_under_integrity_requires_a_scrubber():
+    # Without a committed-page scrubber the flip would commit with
+    # integrity on and nothing detected, contradicting what integrity
+    # promises; without integrity, silent corruption is the documented
+    # outcome and the plan stays legal.
+    from repro.chaos import StateCorruption
+
+    plan = FaultPlan(faults=(StateCorruption("memory", at_s=1e-6),))
+    system = _specfor_system(fault_tolerance=True, integrity=True)
+    ChaosEngine(plan).attach(system.env)
+    with pytest.raises(ChaosError, match="no committed-page scrubber"):
+        system.run()
+    system = _specfor_system(fault_tolerance=True)
+    engine = ChaosEngine(plan).attach(system.env)
+    system.run()
+    assert engine.state_corruption_log[0][2] == 1

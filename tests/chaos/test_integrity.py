@@ -13,7 +13,8 @@ The acceptance bar for the integrity layer (docs/RESILIENCE.md):
   repairs them from the hot standby's replicated image.
 * **Durable state.**  A standby whose checkpoint image fails its
   digest check refuses promotion (fail-stop) instead of resurrecting
-  corrupted state as the new truth.
+  corrupted state as the new truth — the DSMTX commit standby and the
+  ``speculative_for`` reservation-service standby alike.
 * **Speculative state.**  A flipped clean word in a worker's cache is
   caught by value-based read validation on the next speculative load
   and repaired through ordinary misspeculation recovery.
@@ -44,7 +45,8 @@ from repro.core.integrity import page_digest, payload_checksum
 from repro.errors import ClusterFailedError
 from repro.memory import Page
 from repro.memory.page import ZERO_WORDS
-from repro.workloads import Crc32
+from repro.paradigms import SpecForSystem
+from repro.workloads import Crc32, SpanningForest
 from repro.workloads.base import ParallelPlan
 from tests.core.toys import ToyDoall
 
@@ -118,12 +120,50 @@ def build(plan=None, workload_cls=ToyDoall, **overrides):
     return system, engine
 
 
+def build_specfor(plan=None):
+    """The ``speculative_for`` counterpart of :func:`build`: a
+    reservation service with a hot standby, checkpointing every 8
+    committed iterations, on spread cores."""
+    config = SystemConfig(
+        total_cores=6,
+        fault_tolerance=True,
+        commit_replication=True,
+        placement="spread",
+        checkpoint_interval_mtxs=8,
+        integrity=True,
+    )
+    workload = SpanningForest(iterations=ITERATIONS, density=0.7)
+    system = SpecForSystem(workload, config, workers=4)
+    engine = None
+    if plan is not None:
+        engine = ChaosEngine(plan).attach(system.env)
+    return system, engine
+
+
 @pytest.fixture(scope="module")
 def reference():
     """Fault-free run of the same integrity-enabled configuration."""
     system, _ = build()
     result = system.run()
     return system, result
+
+
+@pytest.fixture(scope="module")
+def specfor_reference():
+    """Fault-free run of the integrity-enabled ``speculative_for``
+    configuration."""
+    system, _ = build_specfor()
+    result = system.run()
+    return system, result
+
+
+def promotion_case(paradigm, request):
+    """``(build function, reference run)`` of one paradigm's
+    replicated configuration: DSMTX's commit standby or the
+    reservation-service standby of ``speculative_for``."""
+    if paradigm == "dsmtx":
+        return build, request.getfixturevalue("reference")
+    return build_specfor, request.getfixturevalue("specfor_reference")
 
 
 def node_of(system, tid):
@@ -289,10 +329,13 @@ def test_scrubber_is_quiet_on_a_clean_run():
 # -- durable state: promotion refusal ---------------------------------------------
 
 
-def test_corrupt_checkpoint_image_refuses_promotion(reference):
-    # Flip a word in the standby's image just before the commit node
-    # dies: the standby must refuse to promote corrupted state into
-    # the new truth, failing the run loudly instead.
+@pytest.mark.parametrize("paradigm", ["dsmtx", "specfor"])
+def test_corrupt_checkpoint_image_refuses_promotion(paradigm, request):
+    # Flip a word in the standby's image just before the node holding
+    # the committed state (the commit unit, or the reservation service)
+    # dies: the standby must refuse to promote corrupted state into the
+    # new truth, failing the run loudly instead.
+    build_system, reference = promotion_case(paradigm, request)
     ref_system, ref_result = reference
     elapsed = ref_result.elapsed_seconds
     plan = FaultPlan(
@@ -303,7 +346,7 @@ def test_corrupt_checkpoint_image_refuses_promotion(reference):
         ),
         seed=7,
     )
-    system, _ = build(plan)
+    system, _ = build_system(plan)
     with pytest.raises(ClusterFailedError, match="refuses promotion"):
         system.run()
     stats = system.stats
@@ -311,17 +354,19 @@ def test_corrupt_checkpoint_image_refuses_promotion(reference):
     assert stats.failures and stats.failures[-1].corrupt_image
 
 
-def test_clean_promotion_still_succeeds_under_integrity(reference):
+@pytest.mark.parametrize("paradigm", ["dsmtx", "specfor"])
+def test_clean_promotion_still_succeeds_under_integrity(paradigm, request):
     # Integrity must not get in the way of a legitimate failover: with
     # an intact image the standby's digests verify and promotion
     # completes with byte-identical results.
+    build_system, reference = promotion_case(paradigm, request)
     ref_system, ref_result = reference
     plan = FaultPlan(
         faults=(NodeCrash(node=node_of(ref_system, ref_system.commit_tid),
                           at_s=0.5 * ref_result.elapsed_seconds),),
         seed=7,
     )
-    system, _ = build(plan)
+    system, _ = build_system(plan)
     result = system.run()
     assert result.stats.ft_promotions == 1
     assert result.stats.ft_corruptions_unrepairable == 0

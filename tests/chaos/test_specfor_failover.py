@@ -202,9 +202,10 @@ def test_service_crash_with_a_dead_standby_is_fatal(ft_elapsed):
 
 
 def test_disabled_fault_tolerance_leaves_no_trace(reference):
-    """With ``fault_tolerance`` off the run takes the original
-    unframed path: no heartbeats, no acks, no frames, no standby seat —
-    the golden digests pin that its simulated timing is unchanged too."""
+    """With ``fault_tolerance`` off the same round loop sends every
+    message into the destination inbox unframed: no heartbeats, no
+    acks, no retransmits, no checkpoints, no standby seat — the golden
+    fingerprints pin its simulated timing too."""
     system = build(4, fault_tolerance=False, commit_replication=False)
     result = system.run()
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import MPI, ClusterSpec, Interconnect, Machine, MPIVariant
 from repro.errors import ChannelFlushedError, CommunicationError
-from repro.sim import Environment
+from repro.sim import Environment, Store
 
 
 def make_mpi(**spec_kwargs):
@@ -199,6 +199,14 @@ def test_out_of_range_receive_rejected_at_the_call(dst, src):
     with pytest.raises(IndexError, match=f"rank {src} to rank {dst}"):
         mpi.try_recv(dst, src)
     assert mpi.flush_all() == 0
+
+
+@pytest.mark.parametrize("dst", [8, -1])
+def test_out_of_range_inbox_receive_rejected_at_the_call(dst):
+    # A negative rank must not index the cores from the end.
+    env, mpi = make_mpi_8()
+    with pytest.raises(IndexError):
+        mpi.recv_from(dst, Store(env))
 
 
 def test_out_of_range_source_rejected_by_send():

@@ -13,6 +13,7 @@ Three layers of assurance:
 
 import pytest
 
+from repro.core import SystemConfig
 from repro.errors import ConfigurationError, ParadigmError, PlanSyntaxError
 from repro.memory import AddressSpace
 from repro.paradigms import (
@@ -107,11 +108,17 @@ def test_round_size_doubles_after_clean_rounds():
     assert stats.committed == 64
 
 
-def test_simulated_matches_pure_reference_at_every_worker_count():
+@pytest.mark.parametrize("fault_tolerance", [False, True])
+def test_simulated_matches_pure_reference_at_every_worker_count(fault_tolerance):
+    # Both runtimes take the same round loop: framing only changes how
+    # the messages travel, never what the rounds decide.
     for workers in (1, 2, 3, 4, 8):
         workload = SpanningForest(iterations=32, density=0.6)
         ref_master, ref_stats = _pure_run(SpanningForest(iterations=32, density=0.6))
-        system = SpecForSystem(workload, workers=workers)
+        config = SystemConfig(
+            total_cores=max(3, workers + 1), fault_tolerance=fault_tolerance
+        )
+        system = SpecForSystem(workload, config, workers=workers)
         system.run()
         assert system.service.stats == ref_stats, f"workers={workers}"
         assert _image(system.commit.master) == _image(ref_master), (

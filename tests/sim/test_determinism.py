@@ -1,21 +1,22 @@
-"""Golden-digest determinism suite.
+"""Golden-fingerprint determinism suite.
 
 The hot-path refactor contract: optimizations may change how fast the
 simulator runs, never *what* it simulates.  This suite runs a small
 matrix of configurations — including one with injected misspeculation
 and one with COA read replicas — reduces every ``RunStats`` field that
 describes simulated behaviour (times, bytes, counts, per-phase recovery
-breakdowns) to a canonical string, hashes it, and compares against
-digests recorded from the pre-refactor engine
-(``tests/sim/golden_digests.json``).
+breakdowns) to a canonical text, one result per line, and compares it
+with the text pinned in ``tests/sim/golden_fingerprints.json``.  Text
+equality is exactly as strict as equality of a hash of the text, and a
+mismatch shows the lines that moved as a unified diff.
 
 If a change to the kernel, queues, MPI layer, or memory system alters
-any simulated result, the digest moves and this suite fails.
+any simulated result, a fingerprint line moves and this suite fails.
 
 The suite also pins how many events each config processes
-(``tests/sim/golden_event_counts.json``), outside the digests: the
+(``tests/sim/golden_event_counts.json``), outside the fingerprints: the
 event count is host work, not simulated behaviour, so a change may move
-it while every digest holds.  The count is exact and free of host
+it while every fingerprint holds.  The count is exact and free of host
 noise, so a change that adds events shows here even when wall-time
 measurements cannot resolve it.
 
@@ -23,17 +24,18 @@ To re-record after an *intentional* change::
 
     PYTHONPATH=src python tests/sim/test_determinism.py --regenerate
 
-and justify the new digests or event counts in the change description.
+and justify the moved fingerprint lines or event counts in the change
+description.
 """
 
+import difflib
 import functools
-import hashlib
 import json
 import pathlib
 
 import pytest
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_digests.json"
+GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_fingerprints.json"
 EVENT_COUNTS_PATH = pathlib.Path(__file__).parent / "golden_event_counts.json"
 
 
@@ -117,7 +119,7 @@ def _specfor_ft_configs():
     match the plain ``specfor_sf_4w`` fingerprint exactly (the paradigm
     survives crashes byte-deterministically); only timing, traffic, and
     ft_* lines differ.  tests/chaos/test_specfor_failover.py asserts the
-    cross-config equality; these digests pin each episode's bytes."""
+    cross-config equality; these fingerprints pin each episode's bytes."""
     def cfg(extra=None):
         kwargs = {
             "workers": 4,
@@ -172,7 +174,7 @@ def run_config(name: str) -> tuple[str, int]:
     and the number of events the run processed.
 
     Floats are rendered with ``repr`` (shortest round-trip), so any
-    drift — even in the last ulp — changes the digest.
+    drift — even in the last ulp — changes the fingerprint.
     """
     from repro.core import DSMTXSystem, SystemConfig
 
@@ -213,7 +215,7 @@ def run_config(name: str) -> tuple[str, int]:
     # Reservation-runtime lines appear only under scheme specfor, so the
     # pipeline configs' fingerprints are untouched.  The committed image
     # rides along: byte-reproducibility across worker counts is the
-    # paradigm's headline claim, so the digest must pin it.
+    # paradigm's headline claim, so the fingerprint must pin it.
     if stats.specfor_rounds:
         from repro.analysis.resilience import memory_fingerprint
 
@@ -237,7 +239,7 @@ def run_config(name: str) -> tuple[str, int]:
             f"reexecuted={record.reexecuted_iterations})"
         )
     # Fault-tolerance lines appear only when the machinery ran, so the
-    # fingerprints (and golden digests) of plain configs are unchanged.
+    # fingerprints of plain configs are unchanged.
     if stats.ft_heartbeats or stats.failures:
         lines.append(f"ft_heartbeats={stats.ft_heartbeats}")
         lines.append(f"ft_acks={stats.ft_acks}")
@@ -251,7 +253,7 @@ def run_config(name: str) -> tuple[str, int]:
         lines.append(f"ft_promotions={stats.ft_promotions}")
         lines.append(f"ft_replayed_words={stats.ft_replayed_words}")
     # Own conditional line: only specfor worker crashes set it, so every
-    # pre-existing digest (including pipeline failovers) is unchanged.
+    # pre-existing fingerprint (including pipeline failovers) is unchanged.
     if stats.ft_round_reexecutions:
         lines.append(f"ft_round_reexecutions={stats.ft_round_reexecutions}")
     for record in stats.failures:
@@ -287,13 +289,9 @@ def run_fingerprint(name: str) -> str:
     return run_config(name)[0]
 
 
-def _digest(fingerprint: str) -> str:
-    return hashlib.sha256(fingerprint.encode()).hexdigest()
-
-
 @functools.lru_cache(maxsize=None)
 def _cached_run(name: str) -> tuple[str, int]:
-    """One run per config, shared by the digest and event-count tests."""
+    """One run per config, shared by the fingerprint and event-count tests."""
     return run_config(name)
 
 
@@ -309,12 +307,22 @@ _REGENERATE_HINT = "'PYTHONPATH=src python tests/sim/test_determinism.py --regen
 def test_matches_golden_digest(name):
     golden = _load(GOLDEN_PATH)
     assert name in golden, (
-        f"no golden digest recorded for {name!r}; run {_REGENERATE_HINT}"
+        f"no golden fingerprint recorded for {name!r}; run {_REGENERATE_HINT}"
     )
-    assert _digest(_cached_run(name)[0]) == golden[name], (
-        f"simulated results of {name!r} changed: the refactor altered "
-        "behaviour, not just speed (see tests/sim/test_determinism.py)"
-    )
+    pinned = golden[name]
+    current = _cached_run(name)[0].split("\n")
+    if current != pinned:
+        diff = "\n".join(
+            difflib.unified_diff(
+                pinned, current, "pinned", "current", lineterm="", n=0
+            )
+        )
+        pytest.fail(
+            f"simulated results of {name!r} changed: the refactor altered "
+            f"behaviour, not just speed (see tests/sim/test_determinism.py)"
+            f"\n{diff}",
+            pytrace=False,
+        )
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -338,13 +346,15 @@ def test_digest_is_repeatable():
 
 
 def _regenerate() -> None:
-    digests, event_counts = {}, {}
+    fingerprints, event_counts = {}, {}
     for name in sorted(CONFIGS):
         fingerprint, events = run_config(name)
-        digests[name] = _digest(fingerprint)
+        fingerprints[name] = fingerprint.split("\n")
         event_counts[name] = events
-        print(f"{name}: {digests[name]} ({events} events)")
-    for path, table in ((GOLDEN_PATH, digests), (EVENT_COUNTS_PATH, event_counts)):
+        print(f"{name}: {len(fingerprints[name])} lines ({events} events)")
+    for path, table in (
+        (GOLDEN_PATH, fingerprints), (EVENT_COUNTS_PATH, event_counts)
+    ):
         with open(path, "w") as handle:
             json.dump(table, handle, indent=2, sort_keys=True)
             handle.write("\n")
