@@ -505,7 +505,9 @@ class CommitUnit:
                 candidate.install_word(word_index(address), value)
         if page_digest(candidate) != expected:
             return False
-        page.writable_words()[:] = candidate.words
+        # The candidate is discarded: its array (a private list, or a
+        # tuple shared copy-on-write with the image) becomes the page's.
+        page.words = candidate.words
         page.present_mask = candidate.present_mask
         # Management-path fetch: page bytes on the wire, an install on
         # the commit core.

@@ -110,7 +110,7 @@ def _encode(obj: Any, parts: list) -> None:
         parts.append(b"}")
     elif hasattr(obj, "number") and hasattr(obj, "items"):
         # A page snapshot travelling in a COA response: digest its
-        # identity and present words (versions are local bookkeeping).
+        # identity and present words (the dirty mask is local bookkeeping).
         _encode_page(obj, parts)
     else:
         parts.append(b"?" + type(obj).__name__.encode("ascii") + b";")
@@ -151,7 +151,7 @@ def page_digest(page: Any) -> int:
 def space_digest(space: Any) -> int:
     """CRC32 over every present word of ``space``, page-number order.
 
-    Depends only on logical content — page versions, dirty masks, and
+    Depends only on logical content — dirty masks, shared arrays and
     installation history are excluded — so a standby image folded from
     the replication stream digests identically to the primary master it
     mirrors.

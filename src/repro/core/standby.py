@@ -129,8 +129,15 @@ class _ImageReplica:
         (process launch, not the simulated wire).  Without it a promoted
         standby would resurrect an empty heap and every committed result
         derived from the initial data would be wrong.
+
+        Each master page with present words is installed as a
+        :meth:`~repro.memory.page.Page.snapshot`: image and master share
+        its frozen word array until either side writes the page.
         """
-        self.image.apply_blocks(master.extract_blocks())
+        image = self.image
+        for page in master.iter_pages():
+            if page.present_mask:
+                image.install_page(page.snapshot())
 
     # -- checkpoint folds --------------------------------------------------------------
 

@@ -371,6 +371,11 @@ class Worker:
                 break
             # A stale response from before a rollback; keep waiting.
         self.core.charge_instructions(self.system.config.coa_install_instructions)
+        # Install a copy, not the frame's page: a retransmit buffer may
+        # still hold that object, and a duplicate must checksum over the
+        # words it was stamped with, not over this worker's stores.  The
+        # copy shares the page's frozen array.
+        page = page.snapshot()
         self.space.install_page(page)
         pending = self.foreign_pending.pop(page_no, None)
         if pending:

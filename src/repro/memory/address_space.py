@@ -16,20 +16,20 @@ Two protection modes exist:
   misspeculation recovery, :meth:`reprotect_all` discards all local
   pages, reinstating the protections (paper section 4.3, step four).
 
-Workload bodies touch memory one word at a time.  Three page-level
-batch primitives serve the runtime units: the commit unit applies a
-commit group of ``W`` log records with :meth:`apply_entries` (one
-version bump per touched page), and a standby seeds its image from the
-master with :meth:`extract_blocks` / :meth:`apply_blocks` (runs of
-consecutive words, moved as list slices by :meth:`write_block`).
-:meth:`read_block` and :meth:`dirty_words` read runs and write-sets
-back out of the per-page bitmasks; the tests use them as the reference
-model for the batch primitives.
+Workload bodies touch memory one word at a time.  Two page-level
+batch primitives apply ordered write sets, last write wins: the commit
+unit applies a commit group of ``W`` log records with
+:meth:`apply_entries`, and the standbys and the reservation service
+apply ``(address, value)`` pairs with :meth:`apply_writes`.  Pages are
+copy-on-write (:mod:`repro.memory.page`): :meth:`install_page` takes a
+:meth:`~repro.memory.page.Page.snapshot` that shares the committed
+page's frozen array, and every store path here swaps in a private list
+before it writes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import ProtectionFault, UnmappedAddressError
 from repro.memory.layout import (
@@ -37,10 +37,9 @@ from repro.memory.layout import (
     PAGE_SHIFT,
     WORD_MASK,
     WORD_SHIFT,
-    WORDS_PER_PAGE,
     check_word_aligned,
 )
-from repro.memory.page import ZERO_WORDS, Page
+from repro.memory.page import Page
 from repro.obs.tracer import CAT_PAGE_FAULT, PID_RUNTIME
 
 __all__ = ["AddressSpace"]
@@ -113,8 +112,8 @@ class AddressSpace:
         if page is not None and not address & WORD_MASK and address >= 0:
             index = (address & PAGE_MASK) >> WORD_SHIFT
             array = page.words
-            if array is ZERO_WORDS:
-                array = page.words = [0] * WORDS_PER_PAGE
+            if type(array) is tuple:
+                array = page.words = list(array)
             array[index] = value
             if not page.dirty_mask:
                 self._dirty_pages += 1
@@ -164,112 +163,6 @@ class AddressSpace:
         self._page_order = None
         return page
 
-    # -- block access ------------------------------------------------------------
-
-    def read_block(self, address: int, count: int) -> list:
-        """Read ``count`` consecutive words starting at ``address``.
-
-        The run may straddle page boundaries; each page contributes one
-        list-slice copy.  In a faulting space the first uninstalled page
-        raises :class:`ProtectionFault` (the caller fetches it and
-        retries — reads are idempotent).
-        """
-        if count <= 0:
-            raise UnmappedAddressError(f"block length must be positive, got {count}")
-        check_word_aligned(address)
-        pages = self.pages
-        out: list = []
-        while count:
-            page_no = address >> PAGE_SHIFT
-            page = pages.get(page_no)
-            if page is None:
-                page = self._page_miss(address, page_no)
-            index = (address & PAGE_MASK) >> WORD_SHIFT
-            take = WORDS_PER_PAGE - index
-            if take > count:
-                take = count
-            out += page.words[index:index + take]
-            count -= take
-            address += take << WORD_SHIFT
-        return out
-
-    def write_block(self, address: int, values: Sequence) -> None:
-        """Write the run of words ``values`` starting at ``address``.
-
-        Slice-assigns per page and updates the bitmasks with one mask OR
-        per page.  In a faulting space an uninstalled page raises
-        :class:`ProtectionFault` mid-run; the caller fetches the page
-        and re-issues the whole block (idempotent: same values).
-        """
-        check_word_aligned(address)
-        count = len(values)
-        if count == 0:
-            return
-        pages = self.pages
-        offset = 0
-        while offset < count:
-            page_no = address >> PAGE_SHIFT
-            page = pages.get(page_no)
-            if page is None:
-                page = self._page_miss(address, page_no)
-            index = (address & PAGE_MASK) >> WORD_SHIFT
-            take = WORDS_PER_PAGE - index
-            if take > count - offset:
-                take = count - offset
-            page.writable_words()[index:index + take] = values[offset:offset + take]
-            if not page.dirty_mask:
-                self._dirty_pages += 1
-            run_mask = ((1 << take) - 1) << index
-            page.dirty_mask |= run_mask
-            page.present_mask |= run_mask
-            offset += take
-            address += take << WORD_SHIFT
-
-    def dirty_words(self) -> List[Tuple[int, object]]:
-        """Every dirty word as ``(address, value)``, ascending address.
-
-        This is bitmask-driven write-set extraction: no dictionary diff,
-        just bit scans over ``dirty_mask``.
-        """
-        out: List[Tuple[int, object]] = []
-        append = out.append
-        for page in self.iter_pages():
-            mask = page.dirty_mask
-            if not mask:
-                continue
-            base = page.number << PAGE_SHIFT
-            words = page.words
-            while mask:
-                low = mask & -mask
-                index = low.bit_length() - 1
-                append((base | (index << WORD_SHIFT), words[index]))
-                mask ^= low
-        return out
-
-    def extract_blocks(self) -> List[Tuple[int, list]]:
-        """Present words as maximal run-length ``(address, values)``
-        blocks, ascending address — the batch form of iterating
-        ``page.items()`` word by word.  Used to seed replicas (standby
-        image bootstrap) without a per-word Python loop.
-        """
-        blocks: List[Tuple[int, list]] = []
-        append = blocks.append
-        for page in self.iter_pages():
-            mask = page.present_mask
-            if not mask:
-                continue
-            base = page.number << PAGE_SHIFT
-            words = page.words
-            while mask:
-                start = (mask & -mask).bit_length() - 1
-                run = mask >> start
-                # Length of the run of consecutive set bits from start:
-                # position of the lowest zero bit of ``run``.
-                length = ((run + 1) & ~run).bit_length() - 1
-                append((base | (start << WORD_SHIFT), words[start:start + length]))
-                mask &= ~(((1 << length) - 1) << start)
-        return blocks
-
     # -- page management ---------------------------------------------------------
 
     def has_page(self, page_no: int) -> bool:
@@ -299,7 +192,8 @@ class AddressSpace:
         return page
 
     def install_page(self, page: Page) -> None:
-        """Install a COA-transferred page copy, clearing its protection."""
+        """Install a page copy (a COA transfer or a standby seed page),
+        clearing its protection."""
         self.pages[page.number] = page
         page.owner = self
         if page.dirty_mask:
@@ -346,10 +240,10 @@ class AddressSpace:
     def apply_writes(self, writes: Iterable[Tuple[int, object]]) -> None:
         """Apply an ordered sequence of ``(address, value)`` writes.
 
-        Used by the commit unit's group transaction commit: updates are
-        applied in subTX (program) order, so the last update to a
-        location wins (paper section 3.1).  Bumps the version of every
-        touched page so later COA snapshots are distinguishable.
+        Used by the standbys' checkpoint folds and promotion replays and
+        by the reservation service's commits: updates are applied in
+        program order, so the last update to a location wins (paper
+        section 3.1).
 
         Every address is validated *before* anything is applied: a
         negative or misaligned address raises
@@ -362,7 +256,6 @@ class AddressSpace:
             if address < 0 or address & WORD_MASK:
                 check_word_aligned(address)
         pages = self.pages
-        touched = set()
         for address, value in writes:
             page_no = address >> PAGE_SHIFT
             page = pages.get(page_no)
@@ -370,43 +263,14 @@ class AddressSpace:
                 page = self.get_page(page_no)
             index = (address & PAGE_MASK) >> WORD_SHIFT
             array = page.words
-            if array is ZERO_WORDS:
-                array = page.words = [0] * WORDS_PER_PAGE
+            if type(array) is tuple:
+                array = page.words = list(array)
             array[index] = value
             if not page.dirty_mask:
                 self._dirty_pages += 1
             bit = 1 << index
             page.dirty_mask |= bit
             page.present_mask |= bit
-            touched.add(page_no)
-        for page_no in touched:
-            pages[page_no].bump_version()
-
-    def apply_blocks(self, blocks: Iterable[Tuple[int, Sequence]]) -> int:
-        """Apply ordered ``(address, values)`` run-length blocks.
-
-        The batch analogue of :meth:`apply_writes`: validates every
-        block up front, slice-assigns in order (last write wins), bumps
-        each touched page once, and returns the number of words applied.
-        """
-        if not isinstance(blocks, (list, tuple)):
-            blocks = list(blocks)
-        for address, values in blocks:
-            if address < 0 or address & WORD_MASK:
-                check_word_aligned(address)
-        words = 0
-        touched = set()
-        for address, values in blocks:
-            count = len(values)
-            words += count
-            first_page = address >> PAGE_SHIFT
-            last_page = (address + (count << WORD_SHIFT) - 1) >> PAGE_SHIFT if count else first_page
-            touched.update(range(first_page, last_page + 1))
-            self.write_block(address, values)
-        pages = self.pages
-        for page_no in touched:
-            pages[page_no].bump_version()
-        return words
 
     def apply_entries(self, entries: Iterable[tuple]) -> int:
         """Apply a commit group of log entries in order.
@@ -414,8 +278,7 @@ class AddressSpace:
         Entries are runtime write records ``("W", address, value[,
         nbytes])`` — the kind string mirrors ``repro.core.messages``.
         Validates every entry up front, applies last-wins in entry
-        order, bumps each touched page once, and returns the number of
-        words applied.
+        order, and returns the number of words applied.
         """
         if not isinstance(entries, (list, tuple)):
             entries = list(entries)
@@ -428,7 +291,6 @@ class AddressSpace:
             if address < 0 or address & WORD_MASK:
                 check_word_aligned(address)
         pages = self.pages
-        touched = set()
         for entry in entries:
             address = entry[1]
             page_no = address >> PAGE_SHIFT
@@ -437,17 +299,14 @@ class AddressSpace:
                 page = self.get_page(page_no)
             index = (address & PAGE_MASK) >> WORD_SHIFT
             array = page.words
-            if array is ZERO_WORDS:
-                array = page.words = [0] * WORDS_PER_PAGE
+            if type(array) is tuple:
+                array = page.words = list(array)
             array[index] = entry[2]
             if not page.dirty_mask:
                 self._dirty_pages += 1
             bit = 1 << index
             page.dirty_mask |= bit
             page.present_mask |= bit
-            touched.add(page_no)
-        for page_no in touched:
-            pages[page_no].bump_version()
         return len(entries)
 
     def iter_pages(self) -> Iterator[Page]:

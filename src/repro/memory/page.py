@@ -7,35 +7,38 @@ per word) plus two word-granular bitmasks:
   the page's *population*: :meth:`items` iterates it, and the
   word-granularity COA ablation uses it for per-word presence checks.
 * ``dirty_mask`` — words written since the page entered its current
-  address space.  Write-set extraction
-  (:meth:`~repro.memory.address_space.AddressSpace.dirty_words`) reads
-  it directly instead of diffing dictionaries.
+  address space.  A page with any dirty word counts toward its space's
+  O(1) dirty-page counter.
 
-Pages are demand-zero.  Every page that was never written shares one
-read-only array, :data:`ZERO_WORDS`, the way an OS backs untouched
-memory with its shared zero page; a page gets a private list only on
-its first write, and :meth:`Page.snapshot` of an unwritten page shares
-the zero array instead of copying it.  Read-only inputs touched once
-(crc32's files: most pages a COA run materializes in the master and
-ships to a worker) therefore cost no word storage at all.  Every store
-into ``words`` first swaps in a private list with one ``words is
-ZERO_WORDS`` check (:meth:`Page.writable_words`, or inlined on the hot
-paths of :class:`~repro.memory.address_space.AddressSpace`).  The zero
-array is a tuple, so a store that skips the check raises ``TypeError``
-instead of writing into every empty page at once.
+Pages are copy-on-write.  A page whose ``words`` is a tuple shares that
+array and never writes into it; a page whose ``words`` is a list owns
+it.  :meth:`Page.snapshot` (a Copy-On-Access transfer, a standby's seed
+page) freezes the source's private list into a tuple once and hands the
+same tuple to the copy, so N workers holding one committed page version
+(Figure 3(b)) hold one array between them.  Every store into ``words``
+first swaps in a private list with one ``type(words) is tuple`` check
+(:meth:`Page.writable_words`, or inlined on the hot paths of
+:class:`~repro.memory.address_space.AddressSpace`), so a write to the
+master, to a worker's copy or to a standby image never reaches another
+holder of the array.  A store that skips the check raises ``TypeError``
+instead of writing into every sharer at once.
+
+Every page that was never written shares one read-only array,
+:data:`ZERO_WORDS`, the way an OS backs untouched memory with its shared
+zero page.  Read-only inputs touched once (crc32's files: most pages a
+COA run materializes in the master and ships to a worker) therefore cost
+no word storage at all, and the scrubber answers a ``ZERO_WORDS`` page
+in O(1).
 
 Word values stay boxed Python objects (workloads store ints, floats and
 strings), so a private array is a plain list — a contiguous C array of
 object pointers — rather than ``array('q')``/numpy, which would coerce
-values and change committed results.  The flat layout is what makes
-block reads/writes single slice operations.
+values and change committed results.
 
-Pages carry a monotonically increasing ``version`` so Copy-On-Access
-snapshots can be identified (Figure 3(b) shows workers holding different
-versions of the same page), and a ``dirty`` flag (derived from
-``dirty_mask``) so recovery can count the pages whose protection must be
-reinstated.  ``owner`` backrefs the :class:`AddressSpace` the page is
-installed in, letting the space keep an O(1) dirty-page counter.
+A ``dirty`` flag (derived from ``dirty_mask``) lets recovery count the
+pages whose protection must be reinstated.  ``owner`` backrefs the
+:class:`AddressSpace` the page is installed in, letting the space keep
+an O(1) dirty-page counter.
 """
 
 from __future__ import annotations
@@ -46,22 +49,23 @@ from repro.memory.layout import WORDS_PER_PAGE
 
 __all__ = ["Page", "ZERO_WORDS"]
 
-#: The word array shared by every never-written page.  Read-only: a
-#: page swaps in a private list before its first store.
+#: The word array shared by every never-written page.  Read-only, like
+#: every tuple a page holds: a page swaps in a private list before its
+#: first store.
 ZERO_WORDS: tuple = (0,) * WORDS_PER_PAGE
 
 
 class Page:
     """One 4 KiB page of word-granular values."""
 
-    __slots__ = ("number", "words", "version", "present_mask", "dirty_mask", "owner")
+    __slots__ = ("number", "words", "present_mask", "dirty_mask", "owner")
 
-    def __init__(self, number: int, words: Dict[int, object] | None = None, version: int = 0) -> None:
+    def __init__(self, number: int, words: Dict[int, object] | None = None) -> None:
         self.number = number
-        #: Flat word array, one slot per word (zero = never written);
-        #: :data:`ZERO_WORDS` until the first store.
+        #: Flat word array, one slot per word (zero = never written): a
+        #: shared tuple (:data:`ZERO_WORDS` until the first store) or a
+        #: private list.
         self.words: list | tuple = ZERO_WORDS
-        self.version = version
         self.present_mask = 0
         self.dirty_mask = 0
         #: AddressSpace this page is installed in (dirty accounting).
@@ -81,11 +85,11 @@ class Page:
         return self.dirty_mask != 0
 
     def writable_words(self) -> list:
-        """The page's private word list, swapped in for the shared zero
-        array on first use."""
+        """The page's private word list, swapped in for a shared array
+        on first use."""
         words = self.words
-        if words is ZERO_WORDS:
-            words = self.words = [0] * WORDS_PER_PAGE
+        if type(words) is tuple:
+            words = self.words = list(words)
         return words
 
     def read(self, index: int) -> object:
@@ -111,22 +115,22 @@ class Page:
         self.present_mask |= 1 << index
 
     def snapshot(self) -> "Page":
-        """An independent copy at the same version (a COA transfer).
+        """A clean copy with the same words and present words (a COA
+        transfer), sharing this page's array.
 
-        An unwritten page's copy shares :data:`ZERO_WORDS`."""
+        A private list is frozen into a tuple first, once; each sharer
+        copies the tuple back into a list of its own when it is first
+        written."""
+        words = self.words
+        if type(words) is not tuple:
+            words = self.words = tuple(words)
         copy = Page.__new__(Page)
         copy.number = self.number
-        words = self.words
-        copy.words = words if words is ZERO_WORDS else words[:]
-        copy.version = self.version
+        copy.words = words
         copy.present_mask = self.present_mask
         copy.dirty_mask = 0
         copy.owner = None
         return copy
-
-    def bump_version(self) -> None:
-        """Advance the version (called when committed state changes)."""
-        self.version += 1
 
     def items(self) -> Iterator[Tuple[int, object]]:
         """Iterate over (word index, value) pairs actually present, in
@@ -150,4 +154,4 @@ class Page:
             raise IndexError(f"word index {index} outside [0, {WORDS_PER_PAGE})")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Page {self.number} v{self.version} {self.word_count} words>"
+        return f"<Page {self.number} {self.word_count} words>"

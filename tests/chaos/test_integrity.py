@@ -46,7 +46,7 @@ from repro.errors import ClusterFailedError
 from repro.memory import Page
 from repro.memory.page import ZERO_WORDS
 from repro.paradigms import SpecForSystem
-from repro.workloads import Crc32, SpanningForest
+from repro.workloads import Crc32, H264Ref, SpanningForest
 from repro.workloads.base import ParallelPlan
 from tests.core.toys import ToyDoall
 
@@ -205,6 +205,24 @@ def test_corruption_episode_is_seed_deterministic():
         digests.append(
             run_digest(system.stats, master=system.commit.master, chaos=engine))
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("replicate", [False, True])
+def test_fault_free_run_detects_no_corruption(replicate):
+    # No chaos engine, so nothing corrupts anything.  A COA response can
+    # be retransmitted after its first copy arrived; the worker must
+    # not have installed (and then written) the very page object the
+    # sender's retransmit buffer holds, or the duplicate checksums over
+    # the worker's stores and reads as corrupted.
+    config = SystemConfig(
+        total_cores=8, placement="spread", fault_tolerance=True,
+        integrity=True, commit_replication=replicate,
+    )
+    system = DSMTXSystem(H264Ref(iterations=32).dsmtx_plan(), config)
+    stats = system.run().stats
+    assert stats.ft_duplicates_dropped > 0  # retransmits raced originals
+    assert stats.ft_corruptions_detected == 0
+    assert stats.ft_corruptions_unrepairable == 0
 
 
 def test_detected_counts_at_least_match_repairs(reference):

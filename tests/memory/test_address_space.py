@@ -35,19 +35,13 @@ def test_page_index_bounds():
 
 
 def test_page_snapshot_is_independent():
-    page = Page(7, {1: "a"}, version=3)
+    page = Page(7, {1: "a"})
     copy = page.snapshot()
+    assert copy.number == 7
+    assert copy.present_mask == page.present_mask
+    assert not copy.dirty
     copy.write(1, "b")
     assert page.read(1) == "a"
-    assert copy.version == 3
-    assert copy.number == 7
-
-
-def test_page_bump_version():
-    page = Page(0)
-    page.bump_version()
-    page.bump_version()
-    assert page.version == 2
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +65,13 @@ def test_unaligned_access_rejected():
         space.write(12, 0)
 
 
-def test_apply_writes_last_wins_and_bumps_version():
+def test_apply_writes_last_wins():
     space = AddressSpace("master")
-    space.apply_writes([(0, 1), (8, 2), (0, 3)])
+    space.apply_writes([(0, 1), (8, 2), (0, 3), (PAGE_BYTES, 4)])
     assert space.read(0) == 3  # group commit: last update takes effect
     assert space.read(8) == 2
-    assert space.get_page(0).version == 1
-
-
-def test_apply_writes_bumps_each_touched_page_once():
-    space = AddressSpace("master")
-    space.apply_writes([(0, 1), (8, 2), (PAGE_BYTES, 3)])
-    assert space.get_page(0).version == 1
-    assert space.get_page(1).version == 1
+    assert space.read(PAGE_BYTES) == 4
+    assert space.dirty_page_count == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""Batch-access correctness: block APIs vs. a per-word reference model.
+"""Batch-access correctness: batch writes vs. a per-word reference model.
 
-The batch primitives (``write_block``/``read_block``/``dirty_words``/
-``extract_blocks``/``apply_blocks``/``apply_entries``) must be
-indistinguishable from the per-word API they amortize.  The property tests here drive arbitrary
-interleavings of both against a plain-dict reference model — including
-page-boundary-straddling blocks and recovery (``reprotect_all``) in the
-middle — and the negative-address regressions pin the up-front
-validation added to ``get_page``/``apply_writes``.
+The batch primitives (``apply_writes``/``apply_entries``) must be
+indistinguishable from the per-word stores they amortize.  The property
+test here drives arbitrary interleavings of them and per-word writes
+against a plain-dict reference model — including batches spanning
+several pages and recovery (``reprotect_all``) in the middle — and the
+negative-address regressions pin the up-front validation added to
+``get_page``/``apply_writes``.
 """
 
 import pytest
@@ -15,18 +15,19 @@ from hypothesis import strategies as st
 
 from repro.errors import UnmappedAddressError
 from repro.memory import AddressSpace, Page
-from repro.memory.layout import WORDS_PER_PAGE
+from repro.memory.layout import PAGE_SHIFT, WORD_SHIFT, WORDS_PER_PAGE
 
-# Keep addresses within a few pages so blocks straddle boundaries often.
+# Keep addresses within a few pages so batches span pages often.
 _ADDRESSES = st.integers(0, 4 * WORDS_PER_PAGE - 1).map(lambda w: w * 8)
 _VALUES = st.one_of(st.integers(-5, 5), st.text(max_size=2), st.floats(
     allow_nan=False, allow_infinity=False, width=16))
+_PAIRS = st.lists(st.tuples(_ADDRESSES, _VALUES), min_size=1, max_size=40)
 
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("write"), _ADDRESSES, _VALUES),
-        st.tuples(st.just("write_block"), _ADDRESSES,
-                  st.lists(_VALUES, min_size=1, max_size=100)),
+        st.tuples(st.just("apply_writes"), _PAIRS),
+        st.tuples(st.just("apply_entries"), _PAIRS),
         st.tuples(st.just("reprotect"),),
     ),
     max_size=30,
@@ -37,99 +38,64 @@ def _apply_reference(model, op):
     """The per-word reference model: a flat {address: value} dict."""
     if op[0] == "write":
         model[op[1]] = op[2]
-    elif op[0] == "write_block":
-        for offset, value in enumerate(op[2]):
-            model[op[1] + 8 * offset] = value
-    else:  # reprotect
+    elif op[0] == "reprotect":
         model.clear()
+    else:
+        for address, value in op[1]:
+            model[address] = value
 
 
 def _apply_space(space, op):
     if op[0] == "write":
         space.write(op[1], op[2])
-    elif op[0] == "write_block":
-        space.write_block(op[1], op[2])
+    elif op[0] == "apply_writes":
+        space.apply_writes(op[1])
+    elif op[0] == "apply_entries":
+        # A 4th element prices the wire only; mix both record shapes.
+        space.apply_entries([
+            ("W", address, value) if i % 2 else ("W", address, value, 8)
+            for i, (address, value) in enumerate(op[1])
+        ])
     else:
         space.reprotect_all()
+
+
+def dirty_words(space):
+    """Every dirty word as ``{address: value}``, from the bitmasks."""
+    out = {}
+    for page in space.iter_pages():
+        for index, value in page.items():
+            if page.dirty_mask >> index & 1:
+                out[page.number << PAGE_SHIFT | index << WORD_SHIFT] = value
+    return out
 
 
 @settings(max_examples=200, deadline=None)
 @given(ops=_OPS)
 def test_interleaved_writes_match_per_word_model(ops):
-    """Any interleaving of write_block/per-word write followed by
-    dirty-word extraction equals the per-word reference model."""
+    """Any interleaving of batch applies and per-word writes, followed
+    by dirty-word extraction, equals the per-word reference model."""
     space = AddressSpace("prop")
     model = {}
     for op in ops:
         _apply_space(space, op)
         _apply_reference(model, op)
-    assert dict(space.dirty_words()) == model
-    # Every written word reads back; block reads agree word for word.
+    assert dirty_words(space) == model
+    # Every written word reads back, and every dirty word is present.
     for address, value in model.items():
         assert space.read(address) == value
-        assert space.read_block(address, 1) == [value]
+    for page in space.pages.values():
+        assert page.dirty_mask & ~page.present_mask == 0
     # The dirty counter matches a from-scratch scan.
     assert space.dirty_page_count == sum(
         1 for page in space.pages.values() if page.dirty_mask
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(ops=_OPS)
-def test_extract_blocks_round_trips(ops):
-    """extract_blocks() -> apply_blocks() reproduces the word contents
-    exactly, and blocks are maximal ascending runs."""
-    space = AddressSpace("src")
-    model = {}
-    for op in ops:
-        _apply_space(space, op)
-        _apply_reference(model, op)
-    blocks = space.extract_blocks()
-    # Ascending, non-overlapping runs, maximal within each page (a run
-    # crossing a page boundary is split at the boundary — extraction is
-    # per-page, like every other page-granular consumer).
-    previous_end = None
-    flattened = {}
-    for address, values in blocks:
-        assert values, "empty block emitted"
-        if previous_end is not None:
-            assert address >= previous_end
-            if address == previous_end:
-                assert address % 4096 == 0, "adjacent runs not at a page split"
-        previous_end = address + 8 * len(values)
-        for offset, value in enumerate(values):
-            flattened[address + 8 * offset] = value
-    assert flattened == model
-    target = AddressSpace("dst")
-    target.apply_blocks(blocks)
-    assert dict(target.dirty_words()) == model
-
-
-def test_write_block_straddles_page_boundary():
-    space = AddressSpace("straddle")
-    base = (WORDS_PER_PAGE - 3) * 8  # 3 words on page 0, rest on page 1
-    values = list(range(10))
-    space.write_block(base, values)
-    assert space.read_block(base, 10) == values
-    assert space.pages[0].dirty_mask and space.pages[1].dirty_mask
-    assert space.dirty_page_count == 2
-    assert [v for _a, v in space.dirty_words()] == values
-
-
 def test_read_block_of_unwritten_words_is_zero_filled():
     space = AddressSpace("zero")
     space.write(16, "x")
-    assert space.read_block(0, 4) == [0, 0, "x", 0]
-
-
-def test_read_block_rejects_bad_lengths_and_misalignment():
-    space = AddressSpace("bad")
-    with pytest.raises(UnmappedAddressError):
-        space.read_block(0, 0)
-    with pytest.raises(UnmappedAddressError):
-        space.read_block(4, 2)
-    with pytest.raises(UnmappedAddressError):
-        space.write_block(-8, [1])
+    assert [space.read(address) for address in range(0, 32, 8)] == [0, 0, "x", 0]
 
 
 # -- negative-address regressions ------------------------------------------------
@@ -152,14 +118,12 @@ def test_faulting_get_page_also_rejects_negative():
 def test_apply_writes_rejects_negative_addresses_atomically():
     space = AddressSpace("atomic")
     space.apply_writes([(0, "seed")])
-    version_before = space.pages[0].version
     with pytest.raises(UnmappedAddressError):
         space.apply_writes([(8, "a"), (-8, "b"), (16, "c")])
     # Nothing from the rejected batch landed: validation is up-front.
     assert space.read(8) == 0
     assert space.read(16) == 0
-    assert space.pages[0].version == version_before
-    assert dict(space.dirty_words()) == {0: "seed"}
+    assert dirty_words(space) == {0: "seed"}
 
 
 def test_apply_entries_rejects_negative_addresses_atomically():
@@ -183,11 +147,9 @@ def test_apply_entries_applies_records_last_wins():
         ("W", 4096, "next"),
     ])
     assert words == 6
-    assert space.read_block(0, 3) == ["a", "final", "c"]
+    assert [space.read(address) for address in (0, 8, 16)] == ["a", "final", "c"]
     assert space.read(4096) == "next"
-    # One version bump per touched page, not per entry.
-    assert space.pages[0].version == 1
-    assert space.pages[1].version == 1
+    assert space.dirty_page_count == 2
 
 
 def test_apply_entries_kind_strings_match_runtime_messages():
@@ -208,7 +170,7 @@ def test_dirty_page_count_is_incremental():
     space.write(0, 1)
     space.write(8, 2)          # same page: still one dirty page
     assert space.dirty_page_count == 1
-    space.write_block(4096, [1, 2])
+    space.apply_writes([(4096, 1), (4104, 2)])
     assert space.dirty_page_count == 2
     page = Page(9)
     page.write(0, "dirty")

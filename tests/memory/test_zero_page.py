@@ -1,8 +1,9 @@
 """Demand-zero pages: every never-written page shares ``ZERO_WORDS``.
 
 A page holds the shared read-only zero array until its first store,
-and a snapshot of an unwritten page shares it instead of copying.  The
-contract pinned here:
+and a snapshot of an unwritten page shares it instead of copying (the
+empty case of copy-on-write pages, ``tests/memory/test_copy_on_write.py``).
+The contract pinned here:
 
 * every write path swaps in a private list for the pages it writes and
   leaves neighbouring empty pages, and the zero array itself, all zero;
@@ -36,6 +37,11 @@ def assert_private(page):
     assert page.words is not ZERO_WORDS
 
 
+def read_run(space, address, count):
+    """``count`` consecutive words from ``address``, by word reads."""
+    return [space.read(address + 8 * offset) for offset in range(count)]
+
+
 def test_fresh_page_and_its_snapshot_share_the_zero_array():
     page = Page(4)
     assert_shares_zero(page)
@@ -48,7 +54,15 @@ def test_page_built_with_words_gets_a_private_list():
     page = Page(4, {1: "a"})
     assert_private(page)
     assert page.read(1) == "a"
-    assert_private(page.snapshot())
+    # A snapshot freezes that list into a tuple the two pages share
+    # (never ZERO_WORDS: the page holds a word).
+    copy = page.snapshot()
+    assert type(page.words) is tuple and copy.words is page.words
+    assert page.words is not ZERO_WORDS
+    assert copy.read(1) == "a" and copy.present_mask == page.present_mask
+    page.write(2, "b")
+    assert_private(page)
+    assert copy.read(2) == 0
 
 
 def test_bad_index_leaves_the_page_shared():
@@ -60,17 +74,15 @@ def test_bad_index_leaves_the_page_shared():
     assert_shares_zero(page)
 
 
-# Each case writes into page 1 (and page 0 for blocks straddling the
-# 0/1 boundary) of a master space where pages 0-2 already exist; page 2
-# is the empty neighbour that must keep sharing the zero array.
+# Each case writes into page 1 (and page 0 for batches spanning both)
+# of a master space where pages 0-2 already exist; page 2 is the empty
+# neighbour that must keep sharing the zero array.
 WRITE_PATHS = {
     "Page.write": (lambda s: s.get_page(1).write(3, 7), {1}),
     "Page.install_word": (lambda s: s.get_page(1).install_word(3, 7), {1}),
     "AddressSpace.write": (lambda s: s.write(PAGE_BYTES + 24, 7), {1}),
     "write_min": (lambda s: s.write_min(PAGE_BYTES + 24, 7), {1}),
-    "write_block": (lambda s: s.write_block(PAGE_BYTES - 16, [5, 6, 7, 8]), {0, 1}),
     "apply_writes": (lambda s: s.apply_writes([(PAGE_BYTES + 24, 7)]), {1}),
-    "apply_blocks": (lambda s: s.apply_blocks([(PAGE_BYTES - 16, [5, 6, 7, 8])]), {0, 1}),
     "apply_entries": (
         lambda s: s.apply_entries(
             [("W", 8, 7), ("W", PAGE_BYTES + 32, 8), ("W", PAGE_BYTES + 40, 9)]
@@ -94,7 +106,7 @@ def test_write_path_swaps_in_a_private_list(name):
             assert page.present_mask
         else:
             assert_shares_zero(page)
-    assert space.read_block(2 * PAGE_BYTES, WORDS_PER_PAGE) == [0] * WORDS_PER_PAGE
+    assert read_run(space, 2 * PAGE_BYTES, WORDS_PER_PAGE) == [0] * WORDS_PER_PAGE
     assert ZERO_WORDS == ZEROS
 
 
@@ -119,13 +131,13 @@ def test_stray_store_into_an_unwritten_page_raises():
 
 def test_read_block_over_unwritten_pages_returns_a_list_of_zeros():
     space = AddressSpace("master")
-    values = space.read_block(PAGE_BYTES - 16, 6)
-    assert type(values) is list
-    assert values == [0] * 6
+    assert read_run(space, PAGE_BYTES - 16, 6) == [0] * 6
     worker = AddressSpace("worker", faulting=True)
     worker.install_page(space.get_page(0).snapshot())
     worker.install_page(space.get_page(1).snapshot())
-    assert worker.read_block(PAGE_BYTES - 16, 6) == [0] * 6
+    assert read_run(worker, PAGE_BYTES - 16, 6) == [0] * 6
+    assert_shares_zero(worker.pages[0])
+    assert_shares_zero(worker.pages[1])
 
 
 # -- the mechanism in real runs -----------------------------------------------
