@@ -223,12 +223,10 @@ def _execute(spec: ScenarioSpec, result: ScenarioResult,
     worker_nodes = None
     if spec.scheme == "specfor":
         worker_nodes = tuple(
-            system.cluster.node_of_core(system._core_indices[tid])
-            for tid in range(system.num_workers))
+            system.node_of(tid) for tid in range(system.num_workers))
     fault_plan = spec.faults.build_plan(
         spec.seed,
-        commit_node=system.cluster.node_of_core(
-            system._core_indices[system.commit_tid]),
+        commit_node=system.node_of(system.commit_tid),
         worker_nodes=worker_nodes,
     )
     if fault_plan is not None:

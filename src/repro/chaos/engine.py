@@ -124,9 +124,7 @@ class ChaosEngine:
         honour (a crash it cannot survive, a state-corruption target it
         does not hold or cannot check)."""
         self._system = system
-        self._commit_node = system.cluster.node_of_core(
-            system._core_indices[system.commit_tid]
-        )
+        self._commit_node = system.node_of(system.commit_tid)
         if self._crashes and not system.config.fault_tolerance:
             raise ChaosError(
                 "the plan crashes nodes but SystemConfig.fault_tolerance is off; "
@@ -170,9 +168,7 @@ class ChaosEngine:
             return  # wire-only chaos on a bare environment
         # Resolved at crash time, not bind time: a standby promotion
         # moves the commit unit to a different node mid-run.
-        commit_node = system.cluster.node_of_core(
-            system._core_indices[system.commit_tid]
-        )
+        commit_node = system.node_of(system.commit_tid)
         if node == commit_node and not self._standby_survives():
             # The commit unit holds the only copy of committed master
             # memory — and the failure detector lives with it, so
@@ -202,13 +198,10 @@ class ChaosEngine:
         """True when a hot commit standby exists and its node is alive
         (the commit-node crash is then survivable via promotion)."""
         system = self._system
-        standby_tid = system.standby_tid
-        if standby_tid is None or standby_tid in system.dead_tids:
-            return False
-        standby_node = system.cluster.node_of_core(
-            system._core_indices[standby_tid]
+        return (
+            system.standby_alive
+            and system.node_of(system.standby_tid) not in self.dead_nodes
         )
-        return standby_node not in self.dead_nodes
 
     def is_dead_node(self, node: int) -> bool:
         return node in self.dead_nodes

@@ -261,9 +261,7 @@ def _chaos_plan(args, system, seed, crash_at_s):
     faults = []
     crash_node = args.crash_node
     if args.crash_commit:
-        crash_node = system.cluster.node_of_core(
-            system._core_indices[system.commit_tid]
-        )
+        crash_node = system.node_of(system.commit_tid)
     if crash_node >= 0:
         faults.append(NodeCrash(node=crash_node, at_s=crash_at_s))
     if args.degrade:

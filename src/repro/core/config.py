@@ -15,10 +15,10 @@ mode used for the Figure 5(b) communication-optimization comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from repro.cluster.spec import DEFAULT_CLUSTER, ClusterSpec, MPIVariant
+from repro.cluster.spec import DEFAULT_CLUSTER, ClusterSpec
 from repro.errors import ConfigurationError
 
 __all__ = ["StageKind", "StageSpec", "PipelineConfig", "SystemConfig"]
@@ -129,8 +129,6 @@ class SystemConfig:
     #: Channel transport: "batched" (DSMTX queue) or "direct" (one MPI
     #: call per datum; the Figure 5(b) unoptimized baseline).
     channel_mode: str = "batched"
-    #: MPI send flavour for channel traffic.
-    mpi_variant: MPIVariant = MPIVariant.SEND
     #: Extra units serving Copy-On-Access for read-only pages (an
     #: extension: shards the commit unit's COA hot spot; see
     #: :mod:`repro.core.replica`).  Each takes one core off the budget.
@@ -171,11 +169,6 @@ class SystemConfig:
     #: declares the primary's node dead (docs/RESILIENCE.md).  Requires
     #: ``fault_tolerance``; takes one core off the worker budget.
     commit_replication: bool = False
-    #: Node hosting the standby.  ``None`` picks deterministically: the
-    #: standby keeps its placement-policy seat when that already lands
-    #: off the commit node, otherwise the first node (preferring empty
-    #: ones) other than the commit unit's with a free core.
-    standby_node: Optional[int] = None
     #: End-to-end integrity mode: every framed send carries a CRC32 of
     #: its payload (verified and dropped-on-mismatch at the receiver, so
     #: silent wire corruption becomes a loss the retransmit machinery
@@ -216,16 +209,6 @@ class SystemConfig:
             )
         if self.scrub_interval_s <= 0:
             raise ConfigurationError("scrub_interval_s must be positive")
-        if self.standby_node is not None:
-            if not self.commit_replication:
-                raise ConfigurationError(
-                    "standby_node is meaningless without commit_replication"
-                )
-            if not 0 <= self.standby_node < self.cluster.nodes:
-                raise ConfigurationError(
-                    f"standby_node {self.standby_node} outside the cluster's "
-                    f"{self.cluster.nodes} nodes"
-                )
 
     @property
     def reserved_units(self) -> int:

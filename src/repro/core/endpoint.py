@@ -24,7 +24,7 @@ from typing import Any, Generator
 from repro.core.messages import BatchEnvelope, ControlEnvelope
 from repro.errors import RecoveryAbort
 from repro.obs.tracer import CAT_MPI_RECV, PID_RUNTIME
-from repro.sim import Event, Store
+from repro.sim import Event
 
 __all__ = ["Endpoint"]
 
@@ -35,7 +35,7 @@ class Endpoint:
     def __init__(self, system: "DSMTXSystem", tid: int) -> None:  # noqa: F821
         self.system = system
         self.tid = tid
-        self.inbox = Store(system.env)
+        self.inbox = system.inbox_of(tid)
         # Per-receive costs and the owning core, resolved once:
         # _recv_one runs for every envelope this unit takes in.
         cluster = system.cluster
@@ -44,7 +44,6 @@ class Endpoint:
         self._recv_ready_cycles = cluster.mpi_recv_ready_instructions / ipc
         self._recv_blocked_cycles = cluster.mpi_recv_instructions / ipc
         self._state = system.state
-        self._mpi_variant = system.config.mpi_variant
         #: Reliable transport (fault-tolerant mode) or ``None``.
         self._transport = system.transport
         #: Per-destination (core index, tag, inbox) for send_ctl, filled
@@ -189,8 +188,7 @@ class Endpoint:
             payload_out,
             nbytes,
             dst[1],
-            self._mpi_variant,
-            dst[2],
+            mailbox=dst[2],
         )
 
     # -- recovery -----------------------------------------------------------------------

@@ -4,16 +4,17 @@ Every node that hosts runtime units heartbeats to the commit node every
 :attr:`ClusterSpec.heartbeat_period_s`.  The :class:`FailureDetector`,
 co-located with the commit unit, sweeps the per-node last-heard times;
 a node silent for longer than :attr:`ClusterSpec.suspicion_timeout_s`
-is declared dead:
-
-1. the declaration is queued on ``SystemState.failover_pending`` (the
-   authoritative signal the commit unit's run loop consumes);
-2. the dead node's worker tids are *deregistered* from the recovery
-   barriers, so a rollback already in flight completes with the
-   survivors instead of deadlocking on parties that will never arrive;
-3. a ``CTL_NODE_FAILED`` control envelope is injected locally into the
-   commit unit's inbox as a wake-up ping, in case the commit unit is
-   blocked on an empty inbox.
+is declared dead.  The detector only detects: the declaration itself is
+:meth:`~repro.core.runtime.ClusterSystem.declare_dead`, one method for
+both paradigms.  It queues the failover on
+``SystemState.failover_pending`` (the authoritative signal the commit
+unit's run loop consumes), lets the paradigm release what the dead
+units held (DSMTX deregisters them from the recovery barriers, so a
+rollback already in flight completes with the survivors instead of
+deadlocking on parties that will never arrive), and injects a
+``CTL_NODE_FAILED`` control envelope locally into the commit unit's
+inbox as a wake-up ping, in case the commit unit is blocked on an empty
+inbox.
 
 Heartbeats travel the management path (the dedicated low-volume control
 network alongside the data fabric), so they cost neither core time nor
@@ -29,7 +30,7 @@ emitter would follow — first records a beat for every node that is
 still alive, then runs the commit-side sweep round, then the
 standby-side watcher step, each only while the node hosting it is
 alive.  Each monitored node registers one small handle with the system
-(:meth:`~repro.core.runtime.DSMTXSystem.register_node_process`); a node
+(:meth:`~repro.core.runtime.ClusterSystem.register_node_process`); a node
 crash "interrupts" the handle, which silences the node's beat and stops
 any detector duty hosted there.  This simulates exactly what separate
 emitter, sweep and watcher processes would: started back to back and
@@ -40,7 +41,7 @@ mid-tick lands on the next tick; and a crash interrupt runs at priority
 0, ahead of any tick at the same instant, which is where the handle's
 synchronous silencing puts it too.
 
-A crash of the try-commit node is not survivable — the validation
+A crash of the DSMTX try-commit node is not survivable — the validation
 pipeline has no replica — and raises
 :class:`~repro.errors.ClusterFailedError`.  The same goes for the
 commit node, *unless* commit replication is on
@@ -55,19 +56,18 @@ watcher declares the primary dead only when
   partitioned away hears from nobody and stays quiet rather than
   promote a second commit unit).
 
-The declaration queues the failover, passes the primary's barrier seat
-to the standby, and sets ``SystemState.promote_pending`` — the signal
-the standby's run loop turns into a promotion.
+The declaration then also sets ``SystemState.promote_pending`` — the
+signal the standby's run loop turns into a promotion — and pings the
+standby instead of the commit unit.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-from repro.core.messages import CTL_NODE_FAILED, CTL_PROMOTE, ControlEnvelope
-from repro.errors import ClusterFailedError, NodeCrashed, ProcessInterrupt
+from repro.errors import NodeCrashed, ProcessInterrupt
 
-__all__ = ["FailureDetector", "SpecForFailureDetector"]
+__all__ = ["FailureDetector"]
 
 
 class _NodeHandle:
@@ -99,7 +99,7 @@ class FailureDetector:
     """Heartbeats, the commit-side sweep and the standby-side watcher,
     driven by one tick process."""
 
-    def __init__(self, system: "DSMTXSystem") -> None:  # noqa: F821
+    def __init__(self, system: "ClusterSystem") -> None:  # noqa: F821
         self.system = system
         spec = system.cluster
         self.period = spec.heartbeat_period_s
@@ -107,21 +107,18 @@ class FailureDetector:
         #: Node hosting the commit unit (the sweep's home; the sweep
         #: cannot declare its own node dead).  Reassigned to the standby
         #: node at promotion, when the watcher takes over sweep duty.
-        self.commit_node = spec.node_of_core(
-            system._core_indices[system.commit_tid]
-        )
+        self.commit_node = system.node_of(system.commit_tid)
         #: Node hosting the commit standby; ``None`` without commit
         #: replication.
         self.standby_node = (
-            spec.node_of_core(system._core_indices[system.standby_tid])
+            system.node_of(system.standby_tid)
             if system.standby_tid is not None
             else None
         )
         #: tids hosted on each monitored node.
         self.tids_by_node: dict[int, list[int]] = {}
         for tid in range(system.num_units):
-            node = spec.node_of_core(system._core_indices[tid])
-            self.tids_by_node.setdefault(node, []).append(tid)
+            self.tids_by_node.setdefault(system.node_of(tid), []).append(tid)
         self.last_heard: dict[int, float] = {}
         self.declared: set[int] = set()
         #: Nodes whose heartbeat is live, in ``tids_by_node`` order; a
@@ -141,7 +138,7 @@ class FailureDetector:
         """Register one crash handle per monitored node and spawn the
         detector's single tick process.
 
-        Called by :meth:`DSMTXSystem.run` after unit processes exist, so
+        Called by the system's run after unit processes exist, so
         the handles are registered for chaos-engine crash targeting
         after the units they share a node with.
         """
@@ -242,129 +239,12 @@ class FailureDetector:
         return heard >= len(others) * self.system.cluster.quorum_fraction
 
     def _declare(self, node: int) -> None:
-        """Declare ``node`` dead and hand the failover to the runtime."""
+        """Declare ``node`` dead and hand the failover to the system."""
         system = self.system
         self.declared.add(node)
         dead_tids = tuple(self.tids_by_node[node])
-        if system.trycommit_tid in dead_tids:
-            raise ClusterFailedError(
-                f"node {node} hosted the try-commit unit; the validation "
-                f"pipeline has no replica and its loss is unrecoverable"
-            )
-        if system.commit_tid in dead_tids:
-            self._declare_primary(node, dead_tids)
-            return
-        system.state.request_failover(
-            node, dead_tids, system.env.now, self.last_heard[node]
-        )
-        # Survivors must not wait for the dead at recovery barriers —
-        # this also un-wedges a rollback already in progress.
-        system.recovery.deregister(
-            [tid for tid in dead_tids if tid < system.num_workers]
-        )
-        if system.standby_tid in dead_tids:
-            # The replication consumer died: retire the stream *now* so
-            # a primary blocked on its flow control wakes up (a dead
-            # standby can never return credits).  The run degrades to
-            # unreplicated; the primary drops its stream handle when it
-            # orchestrates the failover.
-            repl = system._queues.get("repl")
-            if repl is not None:
-                repl.retire()
-        # Wake the commit unit if it is blocked on an empty inbox; the
-        # run-loop top consumes state.failover_pending, this envelope is
-        # only the ping.
-        system.inbox_of(system.commit_tid).put_nowait(
-            ControlEnvelope(
-                CTL_NODE_FAILED, system.state.epoch, -1, node
-            )
-        )
-
-    def _declare_primary(self, node: int, dead_tids: tuple) -> None:
-        """The primary's node died: queue the failover *and* the
-        promotion (standby-side watcher, commit replication)."""
-        system = self.system
-        standby_tid = system.standby_tid
-        if (
-            standby_tid is None
-            or standby_tid in system.dead_tids
-            or standby_tid in dead_tids
-        ):
-            raise ClusterFailedError(
-                f"node {node} hosted the commit unit; committed state is "
-                f"unrecoverable without a live replicated standby"
-            )
-        detected_at = system.env.now
-        last_heard_at = self.last_heard[node]
-        system.state.request_failover(node, dead_tids, detected_at, last_heard_at)
-        system.state.promote_pending = (
-            node, dead_tids, detected_at, last_heard_at
-        )
-        system.recovery.deregister(
-            [tid for tid in dead_tids if tid < system.num_workers]
-        )
-        # The dead primary's barrier seat passes to the standby: the
-        # promoted unit orchestrates the failover under its own tid.
-        system.recovery.substitute(system.commit_tid, standby_tid)
-        # From here on this watcher's own node is the primary's.
-        self.commit_node = self.standby_node
-        # Wake the standby if it is blocked on an empty inbox; the
-        # authoritative signal is state.promote_pending.
-        system.inbox_of(standby_tid).put_nowait(
-            ControlEnvelope(CTL_PROMOTE, system.state.epoch, -1, node)
-        )
-
-
-class SpecForFailureDetector(FailureDetector):
-    """Failure detection for the ``speculative_for`` runtime.
-
-    Same tick (heartbeats, sweep, standby-side watcher) as the pipeline
-    detector — only the declaration differs.  The reservation
-    runtime has no try-commit unit (nothing is categorically fatal
-    besides losing the service without a standby), no recovery barriers
-    to deregister, and no runtime queues to retire: a worker's death
-    queues a failover the round scheduler consumes (void the in-flight
-    round, re-partition over the survivors), and the service's death
-    with a live standby queues a promotion.
-    """
-
-    def _declare(self, node: int) -> None:
-        system = self.system
-        self.declared.add(node)
-        dead_tids = tuple(self.tids_by_node[node])
-        if system.commit_tid in dead_tids:
-            self._declare_primary(node, dead_tids)
-            return
-        system.state.request_failover(
-            node, dead_tids, system.env.now, self.last_heard[node]
-        )
-        # Wake the service if it is blocked mid-gather on a reply the
-        # dead worker will never send; the scheduler consumes
-        # state.failover_pending, this envelope is only the ping.
-        system.inbox_of(system.commit_tid).put_nowait(
-            ControlEnvelope(CTL_NODE_FAILED, system.state.epoch, -1, node)
-        )
-
-    def _declare_primary(self, node: int, dead_tids: tuple) -> None:
-        system = self.system
-        standby_tid = system.standby_tid
-        if (
-            standby_tid is None
-            or standby_tid in system.dead_tids
-            or standby_tid in dead_tids
-        ):
-            raise ClusterFailedError(
-                f"node {node} hosted the reservation service; the committed "
-                f"image is unrecoverable without a live replicated standby"
-            )
-        detected_at = system.env.now
-        last_heard_at = self.last_heard[node]
-        system.state.request_failover(node, dead_tids, detected_at, last_heard_at)
-        system.state.promote_pending = (node, dead_tids, detected_at, last_heard_at)
-        # From here on this watcher's own node is the primary's.
-        self.commit_node = self.standby_node
-        # Wake the standby if it is blocked on an empty inbox; the
-        # authoritative signal is state.promote_pending.
-        system.inbox_of(standby_tid).put_nowait(
-            ControlEnvelope(CTL_PROMOTE, system.state.epoch, -1, node)
-        )
+        primary = system.commit_tid in dead_tids
+        system.declare_dead(node, dead_tids, self.last_heard[node])
+        if primary:
+            # From here on this watcher's own node is the primary's.
+            self.commit_node = self.standby_node

@@ -91,7 +91,6 @@ class RuntimeQueue:
             else self._transport.ingest_box(dst_tid)
         )
         self._tag = ("inbox", dst_tid)
-        self._mpi_variant = config.mpi_variant
 
         #: Consumer-side entries routed here by the endpoint (FIFO).
         self.delivered: deque[tuple] = deque()
@@ -186,8 +185,7 @@ class RuntimeQueue:
             payload,
             nbytes,
             self._tag,
-            self._mpi_variant,
-            self._dst_inbox,
+            mailbox=self._dst_inbox,
         )
         if obs is not None:
             obs.tracer.complete(
@@ -196,12 +194,6 @@ class RuntimeQueue:
             )
             obs.metrics.counter(f"queue.batches.{self.purpose}").inc()
             obs.metrics.histogram("queue.batch_bytes").observe(nbytes)
-
-    def src_tid_core_index(self) -> int:
-        return self._src_core.index
-
-    def dst_tid_core_index(self) -> int:
-        return self.system.core_of(self.dst_tid).index
 
     # -- consumer side ---------------------------------------------------------------
 
@@ -220,16 +212,6 @@ class RuntimeQueue:
             return False
         self.delivered.extend(envelope.entries)
         return True
-
-    def pop_local(self) -> tuple[bool, Any]:
-        """Take the next delivered entry without blocking."""
-        if self.delivered:
-            return True, self.delivered.popleft()
-        return False, None
-
-    @property
-    def has_local(self) -> bool:
-        return bool(self.delivered)
 
     # -- recovery ----------------------------------------------------------------------
 

@@ -1,14 +1,20 @@
-"""DSMTX system assembly and execution.
+"""The cluster runtime both paradigms share, and DSMTX on top of it.
 
-:class:`DSMTXSystem` wires one parallel run together: the simulated
-cluster, the unit layout (stage workers, try-commit unit, commit unit),
-their inboxes and queues, the shared recovery coordinator, and the
-Unified Virtual Address space.  :meth:`DSMTXSystem.run` executes the
-workload's parallel region to completion and returns a
-:class:`RunResult` with the simulated duration and full statistics.
+:class:`ClusterSystem` is the part of a run that does not depend on the
+paradigm: the simulated cluster, the unit layout and inboxes, the run's
+state and statistics, and the fault-tolerance shell (reliable
+transport, failure detector, failure declaration, re-partition).
+:class:`DSMTXSystem` adds the pipeline's units (stage workers,
+try-commit unit, commit unit, COA replicas, commit standby), their
+queues, the shared recovery coordinator and the committed-page
+scrubber; :class:`~repro.paradigms.specfor.SpecForSystem` adds the
+``speculative_for`` workers and reservation service.
+:meth:`DSMTXSystem.run` executes the workload's parallel region to
+completion and returns a :class:`RunResult` with the simulated duration
+and full statistics.
 
-Unit thread ids (tids) are assigned stage-major: workers of stage 0
-first, then stage 1, ..., then the try-commit unit, then the commit
+DSMTX unit thread ids (tids) are assigned stage-major: workers of stage
+0 first, then stage 1, ..., then the try-commit unit, then the commit
 unit.  Tids map to global core indices through the placement policy.
 """
 
@@ -23,6 +29,7 @@ from repro.core.replica import CoaReplica
 from repro.core.config import PipelineConfig, SystemConfig
 from repro.core.endpoint import Endpoint
 from repro.core.failure import FailureDetector
+from repro.core.messages import CTL_NODE_FAILED, CTL_PROMOTE, ControlEnvelope
 from repro.core.queues import RuntimeQueue
 from repro.core.recovery import RecoveryCoordinator
 from repro.core.standby import StandbyUnit
@@ -33,14 +40,13 @@ from repro.core.try_commit import TryCommitUnit
 from repro.core.worker import Worker
 from repro.errors import ClusterFailedError, ConfigurationError
 from repro.memory import UnifiedVirtualAddressSpace
-from repro.sim import Environment
+from repro.sim import Environment, Store
 
-__all__ = ["DSMTXSystem", "RunResult", "place_standby"]
+__all__ = ["ClusterSystem", "DSMTXSystem", "RunResult", "place_standby"]
 
 
 def place_standby(
-    cluster, core_indices: list, commit_tid: int, standby_tid: int,
-    wanted: Optional[int],
+    cluster, core_indices: list, commit_tid: int, standby_tid: int
 ) -> None:
     """Put a hot standby on a node other than its primary's.
 
@@ -50,42 +56,16 @@ def place_standby(
     node (spread placement typically arranges this); otherwise it
     deterministically moves to the first free core on the
     lowest-numbered other node, preferring nodes that host no unit at
-    all (a pure survivor).  ``wanted`` (``SystemConfig.standby_node``)
-    overrides the choice.  Mutates ``core_indices`` in place.  Shared
-    by the DSMTX commit standby and the specfor reservation-service
-    standby.
+    all (a pure survivor).  Mutates ``core_indices`` in place.
     """
-    tid = standby_tid
     commit_node = cluster.node_of_core(core_indices[commit_tid])
+    if cluster.node_of_core(core_indices[standby_tid]) != commit_node:
+        return
     used = {
         index
-        for other_tid, index in enumerate(core_indices)
-        if other_tid != tid
+        for tid, index in enumerate(core_indices)
+        if tid != standby_tid
     }
-
-    def free_core_on(node: int) -> Optional[int]:
-        base = node * cluster.cores_per_node
-        for core in range(base, base + cluster.cores_per_node):
-            if core not in used:
-                return core
-        return None
-
-    if wanted is not None:
-        if wanted == commit_node:
-            raise ConfigurationError(
-                f"standby_node={wanted} is the commit unit's node; the "
-                f"standby must live on a different node to survive it"
-            )
-        core = free_core_on(wanted)
-        if core is None:
-            raise ConfigurationError(
-                f"standby_node={wanted} has no free core for the standby"
-            )
-        core_indices[tid] = core
-        return
-    natural_node = cluster.node_of_core(core_indices[tid])
-    if natural_node != commit_node:
-        return
     occupied = {cluster.node_of_core(index) for index in used}
     candidates = sorted(
         range(cluster.nodes),
@@ -94,10 +74,11 @@ def place_standby(
     for node in candidates:
         if node == commit_node:
             continue
-        core = free_core_on(node)
-        if core is not None:
-            core_indices[tid] = core
-            return
+        base = node * cluster.cores_per_node
+        for core in range(base, base + cluster.cores_per_node):
+            if core not in used:
+                core_indices[standby_tid] = core
+                return
     raise ConfigurationError(
         "no free core outside the commit unit's node for the standby; "
         "commit_replication needs at least two nodes with capacity"
@@ -124,10 +105,27 @@ class RunResult:
         return sequential_seconds / self.elapsed_seconds
 
 
-class DSMTXSystem:
-    """One configured DSMTX runtime instance."""
+class ClusterSystem:
+    """One run's cluster, unit layout and fault-tolerance shell.
 
-    def __init__(self, workload: Any, config: SystemConfig) -> None:
+    ``num_units`` units are placed on cores by the configured policy.
+    ``commit_tid`` is the unit that owns committed memory (the DSMTX
+    commit unit, the ``speculative_for`` reservation service), and
+    ``standby_tid`` its hot standby, seated off the commit unit's node;
+    ``None`` without ``commit_replication``.  A paradigm assigns its tids
+    before calling this constructor, names its units in
+    :meth:`unit_labels`, hands their main loops to :meth:`_run_units`,
+    and keeps its live lists in :meth:`_drop_dead_units` and
+    :meth:`_lose_units`.
+    """
+
+    #: Perfetto process name of the runtime's unit tracks.
+    runtime_name: str
+
+    def __init__(
+        self, workload: Any, config: SystemConfig, num_units: int,
+        commit_tid: int, standby_tid: Optional[int],
+    ) -> None:
         self.workload = workload
         self.config = config
         self.cluster = config.cluster
@@ -140,7 +138,172 @@ class DSMTXSystem:
         #: Observability hub (:func:`repro.obs.instrument` attaches one);
         #: every runtime hook site no-ops while this is ``None``.
         self.obs = None
+        self.num_units = num_units
+        #: Reassigned to the standby's tid at promotion.
+        self.commit_tid = commit_tid
+        self.standby_tid = standby_tid
+        #: Units lost to node failures so far.
+        self.dead_tids: set[int] = set()
+        self._core_indices = place_units(self.cluster, num_units, config.placement)
+        if standby_tid is not None:
+            place_standby(self.cluster, self._core_indices, commit_tid, standby_tid)
+        #: Reliable ack/retransmit transport; ``None`` keeps the
+        #: fault-free fast path untouched (a single is-None check).
+        self.transport = ReliableTransport(self) if config.fault_tolerance else None
+        #: One inbox per unit: every message to the unit, plus the
+        #: failure declaration's wake-up pings under fault tolerance.
+        self._inboxes = [Store(self.env) for _ in range(num_units)]
+        self.uva = UnifiedVirtualAddressSpace(owners=num_units)
+        #: Heartbeat failure detection; ``None`` outside fault-tolerant
+        #: mode.  Started by :meth:`_run_units` once unit processes exist.
+        self.failure_detector = (
+            FailureDetector(self) if config.fault_tolerance else None
+        )
+        #: Simulation processes hosted on each node (unit main loops,
+        #: the failure detector's per-node handles): the kill set of a
+        #: node-crash fault.
+        self._node_processes: dict[int, list] = {}
 
+    # -- layout queries ---------------------------------------------------------------------
+
+    def core_of(self, tid: int):
+        return self.machine.core(self._core_indices[tid])
+
+    def node_of(self, tid: int) -> int:
+        """Node hosting unit ``tid``."""
+        return self.cluster.node_of_core(self._core_indices[tid])
+
+    def inbox_of(self, tid: int) -> Store:
+        return self._inboxes[tid]
+
+    @property
+    def standby_alive(self) -> bool:
+        return self.standby_tid is not None and self.standby_tid not in self.dead_tids
+
+    def unit_labels(self) -> dict:
+        """``{label: tid}`` of every unit, in tid order before the run.
+
+        Computed at call time: after a promotion the commit unit's label
+        follows :attr:`commit_tid` to the standby's seat.
+        """
+        raise NotImplementedError
+
+    def utilization(self) -> dict:
+        """Busy fraction of every unit's core over the run so far.
+
+        Keys are the :meth:`unit_labels`; values are busy-cycles divided
+        by elapsed cycles.  Useful for spotting the bottleneck unit (e.g.
+        a saturated sequential stage or the commit unit's COA service).
+        """
+        elapsed = self.env.now
+        if elapsed <= 0:
+            return {}
+        clock = self.cluster.clock_hz
+        return {
+            label: self.core_of(tid).busy_cycles / (elapsed * clock)
+            for label, tid in self.unit_labels().items()
+        }
+
+    # -- node failure -----------------------------------------------------------------------
+
+    def register_node_process(self, node: int, process) -> None:
+        """Track a simulation process (or anything with ``is_alive``
+        and ``interrupt(cause)``) as hosted on ``node`` so a node-crash
+        fault kills it along with the node."""
+        self._node_processes.setdefault(node, []).append(process)
+
+    def processes_on_node(self, node: int) -> list:
+        """Every registered simulation process hosted on ``node``."""
+        return list(self._node_processes.get(node, ()))
+
+    def declare_dead(self, node: int, dead_tids: tuple, last_heard_at: float) -> None:
+        """The failure detector's verdict: ``node`` and its units died.
+
+        Queues the failover on ``SystemState.failover_pending`` (the
+        authoritative signal the commit unit consumes), and the
+        promotion on ``promote_pending`` when the node hosted the commit
+        unit, which needs a live standby elsewhere.  Then the paradigm
+        lets go of the dead units (:meth:`_lose_units`), and last a
+        wake-up ping goes into the commit unit's inbox, or the standby's,
+        in case it is blocked on an empty one.
+        """
+        state = self.state
+        now = self.env.now
+        primary = self.commit_tid in dead_tids
+        if primary and (not self.standby_alive or self.standby_tid in dead_tids):
+            raise ClusterFailedError(
+                f"node {node} hosted the commit unit; committed state is "
+                f"unrecoverable without a live replicated standby"
+            )
+        state.request_failover(node, dead_tids, now, last_heard_at)
+        if primary:
+            state.promote_pending = (node, dead_tids, now, last_heard_at)
+        self._lose_units(dead_tids)
+        kind, tid = (CTL_PROMOTE, self.standby_tid) if primary else (
+            CTL_NODE_FAILED, self.commit_tid
+        )
+        self.inbox_of(tid).put_nowait(ControlEnvelope(kind, state.epoch, -1, node))
+
+    def _lose_units(self, dead_tids: tuple) -> None:
+        """Paradigm hook at declaration time: release whatever the dead
+        units held that survivors may be blocked on."""
+
+    def apply_node_failure(self, node: int, dead_tids) -> None:
+        """Re-partition onto the survivors (degraded-mode restart).
+
+        Records the dead tids, drops them from the paradigm's live
+        scheduling lists (:meth:`_drop_dead_units`, which raises when no
+        survivor can take over their work) and from the reliable
+        transport (frames to or from them are abandoned).
+        """
+        self.dead_tids.update(dead_tids)
+        self._drop_dead_units(node)
+        if self.transport is not None:
+            self.transport.forget_units(dead_tids)
+
+    def _drop_dead_units(self, node: int) -> None:
+        raise NotImplementedError
+
+    # -- execution --------------------------------------------------------------------------------
+
+    def _start_auxiliaries(self) -> None:
+        """Paradigm hook: start processes outside the completion set."""
+
+    def _run_units(self, mains: list) -> float:
+        """Run the units' main loops to completion; returns the elapsed
+        simulated time.
+
+        ``mains[tid]`` is unit ``tid``'s main generator.  Each unit is
+        spawned on its node under its label, in tid order; then the
+        failure detector's tick, the paradigm's auxiliaries and the
+        chaos engine's binding start, in that order.
+        """
+        env = self.env
+        start = env.now
+        labels = {tid: label for label, tid in self.unit_labels().items()}
+        processes = []
+        for tid, main in enumerate(mains):
+            process = env.process(main, name=labels[tid])
+            self.register_node_process(self.node_of(tid), process)
+            processes.append(process)
+        if self.failure_detector is not None:
+            self.failure_detector.start()
+        self._start_auxiliaries()
+        if env.chaos is not None:
+            env.chaos.bind_system(self)
+        env.run(until=env.all_of(processes))
+        elapsed = env.now - start
+        self.stats.elapsed_seconds = elapsed
+        return elapsed
+
+
+class DSMTXSystem(ClusterSystem):
+    """One configured DSMTX runtime instance: the pipeline's units, their
+    queues and the recovery coordinator on the shared cluster shell."""
+
+    runtime_name = "dsmtx runtime units"
+
+    def __init__(self, workload: Any, config: SystemConfig) -> None:
         pipeline: PipelineConfig = workload.pipeline()
         self.pipeline = pipeline
         self.replicas = pipeline.allocate(
@@ -148,23 +311,24 @@ class DSMTXSystem:
         )
         self.num_workers = sum(self.replicas)
         self.trycommit_tid = self.num_workers
-        self.commit_tid = self.num_workers + 1
         #: Tids of the COA read replicas (empty unless configured).
         self.replica_tids = [
             self.num_workers + 2 + index for index in range(config.coa_replicas)
         ]
         #: Replicas still alive (node failures remove entries).
         self.live_replica_tids = list(self.replica_tids)
-        #: Tid of the commit-unit hot standby; ``None`` unless
-        #: ``commit_replication`` is on.  Assigned last so the worker /
-        #: try-commit / commit / COA-replica layout is unchanged.
-        self.standby_tid = (
-            self.num_workers + 2 + config.coa_replicas
-            if config.commit_replication
-            else None
-        )
-        self.num_units = self.num_workers + 2 + config.coa_replicas + (
-            1 if config.commit_replication else 0
+        # The commit-unit hot standby (commit_replication) is assigned
+        # last so the worker / try-commit / commit / COA-replica layout
+        # is unchanged.
+        super().__init__(
+            workload, config,
+            num_units=self.num_workers + config.reserved_units,
+            commit_tid=self.num_workers + 1,
+            standby_tid=(
+                self.num_workers + 2 + config.coa_replicas
+                if config.commit_replication
+                else None
+            ),
         )
         #: First worker tid of each stage.
         self.stage_base_tid: list[int] = []
@@ -180,17 +344,7 @@ class DSMTXSystem:
             list(range(b, b + count))
             for b, count in zip(self.stage_base_tid, self.replicas)
         ]
-        #: Units lost to node failures so far.
-        self.dead_tids: set[int] = set()
-
-        self._core_indices = place_units(self.cluster, self.num_units, config.placement)
-        if self.standby_tid is not None:
-            self._place_standby()
-        #: Reliable ack/retransmit transport; ``None`` keeps the
-        #: fault-free fast path untouched (a single is-None check).
-        self.transport = ReliableTransport(self) if config.fault_tolerance else None
         self._endpoints = [Endpoint(self, tid) for tid in range(self.num_units)]
-        self.uva = UnifiedVirtualAddressSpace(owners=self.num_units)
 
         #: Runtime queues by name (created before the units: the commit
         #: unit opens its replication stream at construction time).
@@ -215,34 +369,14 @@ class DSMTXSystem:
         # promoted, substituting for the dead primary).
         self.recovery = RecoveryCoordinator(self, parties=self.num_workers + 2)
 
-        #: Heartbeat failure detection; ``None`` outside fault-tolerant
-        #: mode.  Started by :meth:`run` once unit processes exist.
-        self.failure_detector = (
-            FailureDetector(self) if config.fault_tolerance else None
-        )
-        #: Simulation processes hosted on each node (unit main loops,
-        #: the failure detector's per-node handles): the kill set of a
-        #: node-crash fault.
-        self._node_processes: dict[int, list] = {}
-
         self.total_iterations = 0
         self._stage_bodies: dict[int, Callable] = {}
-
-    def _place_standby(self) -> None:
-        """Seat the commit standby (see :func:`place_standby`)."""
-        place_standby(
-            self.cluster, self._core_indices, self.commit_tid,
-            self.standby_tid, self.config.standby_node,
-        )
 
     # -- layout queries ---------------------------------------------------------------------
 
     @property
     def num_stages(self) -> int:
         return self.pipeline.num_stages
-
-    def replicas_of_stage(self, stage_index: int) -> int:
-        return self.replicas[stage_index]
 
     def worker_tid_for(self, stage_index: int, iteration: int) -> int:
         """Tid of the worker executing ``iteration``'s subTX of a stage.
@@ -254,9 +388,6 @@ class DSMTXSystem:
         """
         live = self.live_by_stage[stage_index]
         return live[(iteration - self.state.restart_base) % len(live)]
-
-    def core_of(self, tid: int):
-        return self.machine.core(self._core_indices[tid])
 
     def endpoint_of_unit(self, tid: int) -> Endpoint:
         return self._endpoints[tid]
@@ -273,8 +404,18 @@ class DSMTXSystem:
             return live[requester_tid % len(live)]
         return self.commit_tid
 
-    def inbox_of(self, tid: int):
-        return self._endpoints[tid].inbox
+    def unit_labels(self) -> dict:
+        labels = {
+            f"worker[{worker.stage_index}.{worker.replica}]": worker.tid
+            for worker in self.workers
+        }
+        labels["try-commit"] = self.trycommit_tid
+        labels["commit"] = self.commit_tid
+        for index, tid in enumerate(self.replica_tids):
+            labels[f"coa-replica[{index}]"] = tid
+        if self.standby_tid is not None:
+            labels["commit-standby"] = self.standby_tid
+        return labels
 
     # -- queues -----------------------------------------------------------------------------
 
@@ -351,32 +492,46 @@ class DSMTXSystem:
         observe ``state.done`` and exit.
         """
         skip = self.standby_tid if not self.state.done else None
-        for tid, endpoint in enumerate(self._endpoints):
+        for tid, inbox in enumerate(self._inboxes):
             if tid == skip:
                 continue
-            endpoint.inbox.flush()
+            inbox.flush()
 
     # -- node failure -----------------------------------------------------------------------
 
-    def register_node_process(self, node: int, process) -> None:
-        """Track a simulation process (or anything with ``is_alive``
-        and ``interrupt(cause)``) as hosted on ``node`` so a node-crash
-        fault kills it along with the node."""
-        self._node_processes.setdefault(node, []).append(process)
+    def declare_dead(self, node: int, dead_tids: tuple, last_heard_at: float) -> None:
+        """The try-commit unit has no replica: its node's loss is fatal
+        before anything is queued."""
+        if self.trycommit_tid in dead_tids:
+            raise ClusterFailedError(
+                f"node {node} hosted the try-commit unit; the validation "
+                f"pipeline has no replica and its loss is unrecoverable"
+            )
+        super().declare_dead(node, dead_tids, last_heard_at)
 
-    def processes_on_node(self, node: int) -> list:
-        """Every registered simulation process hosted on ``node``."""
-        return list(self._node_processes.get(node, ()))
+    def _lose_units(self, dead_tids: tuple) -> None:
+        # Survivors must not wait for the dead at recovery barriers —
+        # this also un-wedges a rollback already in progress.
+        self.recovery.deregister([tid for tid in dead_tids if tid < self.num_workers])
+        if self.commit_tid in dead_tids:
+            # The dead primary's barrier seat passes to the standby: the
+            # promoted unit orchestrates the failover under its own tid.
+            self.recovery.substitute(self.commit_tid, self.standby_tid)
+        elif self.standby_tid in dead_tids:
+            # The replication consumer died: retire the stream *now* so
+            # a primary blocked on its flow control wakes up (a dead
+            # standby can never return credits).  The run degrades to
+            # unreplicated; the primary drops its stream handle when it
+            # orchestrates the failover.
+            repl = self._queues.get("repl")
+            if repl is not None:
+                repl.retire()
 
-    def apply_node_failure(self, node: int, dead_tids) -> None:
-        """Re-partition onto the survivors (degraded-mode restart).
-
-        Removes the dead tids from the live scheduling lists.  A stage
-        whose every replica died is unrecoverable — the lost subTX logs
-        cannot be regenerated by anyone — as is (checked earlier, at
-        declaration) the loss of the commit or try-commit unit.
-        """
-        self.dead_tids.update(dead_tids)
+    def _drop_dead_units(self, node: int) -> None:
+        """A stage whose every replica died is unrecoverable — the lost
+        subTX logs cannot be regenerated by anyone — as is (checked
+        earlier, at declaration) the loss of the commit or try-commit
+        unit."""
         for stage_index, live in enumerate(self.live_by_stage):
             survivors = [tid for tid in live if tid not in self.dead_tids]
             if not survivors:
@@ -388,8 +543,6 @@ class DSMTXSystem:
         self.live_replica_tids = [
             tid for tid in self.live_replica_tids if tid not in self.dead_tids
         ]
-        if self.transport is not None:
-            self.transport.forget_units(dead_tids)
 
     def promote_standby(self, standby) -> CommitUnit:
         """Swap the promoted standby in as the system's commit unit.
@@ -443,34 +596,6 @@ class DSMTXSystem:
 
     # -- execution --------------------------------------------------------------------------------
 
-    def utilization(self) -> dict:
-        """Busy fraction of every unit's core over the run so far.
-
-        Keys are human-readable unit labels; values are busy-cycles
-        divided by elapsed cycles.  Useful for spotting the bottleneck
-        unit (e.g. a saturated sequential stage or the commit unit's
-        COA service).
-        """
-        elapsed = self.env.now
-        if elapsed <= 0:
-            return {}
-        clock = self.cluster.clock_hz
-
-        def fraction(tid: int) -> float:
-            return self.core_of(tid).busy_cycles / (elapsed * clock)
-
-        report = {}
-        for worker in self.workers:
-            label = f"worker[{worker.stage_index}.{worker.replica}]"
-            report[label] = fraction(worker.tid)
-        report["try-commit"] = fraction(self.trycommit_tid)
-        report["commit"] = fraction(self.commit_tid)
-        for index, tid in enumerate(self.replica_tids):
-            report[f"coa-replica[{index}]"] = fraction(tid)
-        if self.standby_tid is not None:
-            report["commit-standby"] = fraction(self.standby_tid)
-        return report
-
     def stage_utilization(self) -> dict:
         """Mean busy fraction per pipeline stage plus the units."""
         per_unit = self.utilization()
@@ -486,14 +611,6 @@ class DSMTXSystem:
         summary["try-commit"] = per_unit["try-commit"]
         summary["commit"] = per_unit["commit"]
         return summary
-
-    def _spawn_unit(self, tid: int, generator, label: str):
-        """Start one unit's main process, registered to its host node."""
-        process = self.env.process(generator, name=label)
-        self.register_node_process(
-            self.cluster.node_of_core(self._core_indices[tid]), process
-        )
-        return process
 
     def _scrub_process(self):
         """Periodic page-digest audit of committed memory.
@@ -518,6 +635,12 @@ class DSMTXSystem:
                 continue
             commit.scrub_once()
 
+    def _start_auxiliaries(self) -> None:
+        if self.config.integrity:
+            # Auxiliary process (not in the completion set): abandoned
+            # when the run's own processes finish.
+            self.env.process(self._scrub_process(), name="scrubber")
+
     def run(self, iterations: Optional[int] = None) -> RunResult:
         """Execute the workload's parallel region to completion."""
         self.total_iterations = (
@@ -526,45 +649,16 @@ class DSMTXSystem:
         if self.total_iterations < 1:
             raise ConfigurationError("need at least one iteration")
         self.workload.setup(self)
+        mains = [worker.run() for worker in self.workers]
+        mains.append(self.try_commit.run())
+        mains.append(self.commit.run())
+        mains.extend(replica.run() for replica in self.coa_replicas)
         if self.standby is not None:
             # The initial image is the epoch-0 checkpoint: the standby
             # starts from the same program state as the primary.
             self.standby.seed_image(self.commit.master)
-        start = self.env.now
-        processes = [
-            self._spawn_unit(
-                worker.tid, worker.run(),
-                f"worker[{worker.stage_index}.{worker.replica}]",
-            )
-            for worker in self.workers
-        ]
-        processes.append(
-            self._spawn_unit(self.trycommit_tid, self.try_commit.run(), "try-commit")
-        )
-        processes.append(
-            self._spawn_unit(self.commit_tid, self.commit.run(), "commit")
-        )
-        processes.extend(
-            self._spawn_unit(replica.tid, replica.run(), f"coa-replica[{index}]")
-            for index, replica in enumerate(self.coa_replicas)
-        )
-        if self.standby is not None:
-            processes.append(
-                self._spawn_unit(
-                    self.standby_tid, self.standby.run(), "commit-standby"
-                )
-            )
-        if self.failure_detector is not None:
-            self.failure_detector.start()
-        if self.config.integrity:
-            # Auxiliary process (not in the completion set): abandoned
-            # when the run's own processes finish.
-            self.env.process(self._scrub_process(), name="scrubber")
-        if self.env.chaos is not None:
-            self.env.chaos.bind_system(self)
-        self.env.run(until=self.env.all_of(processes))
-        elapsed = self.env.now - start
-        self.stats.elapsed_seconds = elapsed
+            mains.append(self.standby.run())
+        elapsed = self._run_units(mains)
         return RunResult(
             elapsed_seconds=elapsed,
             stats=self.stats,

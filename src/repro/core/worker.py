@@ -38,7 +38,6 @@ from repro.errors import (
     MisspeculationDetected,
     NodeCrashed,
     ProcessInterrupt,
-    ProtectionFault,
     RecoveryAbort,
 )
 from repro.memory import AddressSpace, page_number, word_index
@@ -290,33 +289,12 @@ class Worker:
         )
 
     # -- speculative memory ------------------------------------------------------------------------
-
-    def speculative_read(self, address: int) -> Generator[Event, Any, Any]:
-        """Read through private memory, COA-faulting as needed."""
-        if not self.system.config.coa_page_granularity:
-            return (yield from self._word_granular_read(address))
-        try:
-            return self.space.read(address)
-        except ProtectionFault as fault:
-            yield from self._coa_fetch(fault.page_number)
-            return self.space.read(address)
-
-    def speculative_write(self, address: int, value: Any) -> Generator[Event, Any, None]:
-        """Write to private memory, COA-faulting as needed (the access
-        protections trip on stores too)."""
-        if not self.system.config.coa_page_granularity:
-            self._word_granular_write(address, value)
-            return
-        try:
-            self.space.write(address, value)
-        except ProtectionFault as fault:
-            yield from self._coa_fetch(fault.page_number)
-            self.space.write(address, value)
-
-    # Word-granularity COA (the paper's rejected design, kept for the
-    # ablation bench): per-word presence is tracked in software, every
-    # missing word costs its own round trip, and stores write-allocate
-    # without fetching.
+    #
+    # MTXContext.load/store access the private space directly and call
+    # _coa_fetch on a protection fault.  Word-granularity COA (the
+    # paper's rejected design, kept for the ablation bench): per-word
+    # presence is tracked in software, every missing word costs its own
+    # round trip, and stores write-allocate without fetching.
 
     def _word_granular_read(self, address: int) -> Generator[Event, Any, Any]:
         page_no = page_number(address)

@@ -62,7 +62,6 @@ class AddressSpace:
         "faults_taken",
         "obs",
         "owner_tid",
-        "_dirty_pages",
         "_page_order",
     )
 
@@ -78,9 +77,6 @@ class AddressSpace:
         #: hub here (plus the owning unit's tid); ``None`` means no-op.
         self.obs = None
         self.owner_tid = -1
-        #: Incrementally maintained count of dirty pages (kept by the
-        #: write paths and by :meth:`Page.write` via the owner backref).
-        self._dirty_pages = 0
         #: Sorted page numbers, invalidated on install/drop/materialize.
         self._page_order: List[int] | None = None
 
@@ -115,8 +111,6 @@ class AddressSpace:
             if type(array) is tuple:
                 array = page.words = list(array)
             array[index] = value
-            if not page.dirty_mask:
-                self._dirty_pages += 1
             bit = 1 << index
             page.dirty_mask |= bit
             page.present_mask |= bit
@@ -158,7 +152,6 @@ class AddressSpace:
                 self.obs.metrics.counter("memory.protection_faults").inc()
             raise ProtectionFault(address, page_no)
         page = Page(page_no)
-        page.owner = self
         self.pages[page_no] = page
         self._page_order = None
         return page
@@ -186,7 +179,6 @@ class AddressSpace:
             if self.faulting:
                 raise ProtectionFault(page_no * 4096, page_no)
             page = Page(page_no)
-            page.owner = self
             self.pages[page_no] = page
             self._page_order = None
         return page
@@ -195,22 +187,10 @@ class AddressSpace:
         """Install a page copy (a COA transfer or a standby seed page),
         clearing its protection."""
         self.pages[page.number] = page
-        page.owner = self
-        if page.dirty_mask:
-            self._dirty_pages += 1
         self._page_order = None
         self.pages_installed += 1
         if self.obs is not None:
             self.obs.metrics.counter("memory.pages_installed").inc()
-
-    def drop_page(self, page_no: int) -> None:
-        """Discard one page, reinstating its protection."""
-        page = self.pages.pop(page_no, None)
-        if page is not None:
-            page.owner = None
-            if page.dirty_mask:
-                self._dirty_pages -= 1
-            self._page_order = None
 
     def reprotect_all(self) -> int:
         """Discard every page (recovery step four).
@@ -219,21 +199,9 @@ class AddressSpace:
         the protection-reinstatement work.
         """
         dropped = len(self.pages)
-        for page in self.pages.values():
-            page.owner = None
         self.pages.clear()
-        self._dirty_pages = 0
         self._page_order = None
         return dropped
-
-    @property
-    def dirty_page_count(self) -> int:
-        """Pages modified since installation (speculative state volume).
-
-        O(1): the counter is maintained incrementally by the write
-        paths, not recomputed by scanning the page table.
-        """
-        return self._dirty_pages
 
     # -- bulk operations -----------------------------------------------------------
 
@@ -266,8 +234,6 @@ class AddressSpace:
             if type(array) is tuple:
                 array = page.words = list(array)
             array[index] = value
-            if not page.dirty_mask:
-                self._dirty_pages += 1
             bit = 1 << index
             page.dirty_mask |= bit
             page.present_mask |= bit
@@ -302,8 +268,6 @@ class AddressSpace:
             if type(array) is tuple:
                 array = page.words = list(array)
             array[index] = entry[2]
-            if not page.dirty_mask:
-                self._dirty_pages += 1
             bit = 1 << index
             page.dirty_mask |= bit
             page.present_mask |= bit

@@ -7,8 +7,11 @@ per word) plus two word-granular bitmasks:
   the page's *population*: :meth:`items` iterates it, and the
   word-granularity COA ablation uses it for per-word presence checks.
 * ``dirty_mask`` — words written since the page entered its current
-  address space.  A page with any dirty word counts toward its space's
-  O(1) dirty-page counter.
+  address space: a worker's speculative stores, which the chaos
+  engine's speculative-corruption fault leaves alone.  Recovery does
+  not read it: reinstating protection is priced per page dropped
+  (:meth:`~repro.memory.address_space.AddressSpace.reprotect_all`
+  returns ``len(pages)``).
 
 Pages are copy-on-write.  A page whose ``words`` is a tuple shares that
 array and never writes into it; a page whose ``words`` is a list owns
@@ -34,11 +37,6 @@ Word values stay boxed Python objects (workloads store ints, floats and
 strings), so a private array is a plain list — a contiguous C array of
 object pointers — rather than ``array('q')``/numpy, which would coerce
 values and change committed results.
-
-A ``dirty`` flag (derived from ``dirty_mask``) lets recovery count the
-pages whose protection must be reinstated.  ``owner`` backrefs the
-:class:`AddressSpace` the page is installed in, letting the space keep
-an O(1) dirty-page counter.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ ZERO_WORDS: tuple = (0,) * WORDS_PER_PAGE
 class Page:
     """One 4 KiB page of word-granular values."""
 
-    __slots__ = ("number", "words", "present_mask", "dirty_mask", "owner")
+    __slots__ = ("number", "words", "present_mask", "dirty_mask")
 
     def __init__(self, number: int, words: Dict[int, object] | None = None) -> None:
         self.number = number
@@ -68,8 +66,6 @@ class Page:
         self.words: list | tuple = ZERO_WORDS
         self.present_mask = 0
         self.dirty_mask = 0
-        #: AddressSpace this page is installed in (dirty accounting).
-        self.owner = None
         if words:
             array = self.words = [0] * WORDS_PER_PAGE
             mask = 0
@@ -78,11 +74,6 @@ class Page:
                 array[index] = value
                 mask |= 1 << index
             self.present_mask = mask
-
-    @property
-    def dirty(self) -> bool:
-        """True if any word was written since installation."""
-        return self.dirty_mask != 0
 
     def writable_words(self) -> list:
         """The page's private word list, swapped in for a shared array
@@ -101,8 +92,6 @@ class Page:
         """Set word ``index`` to ``value``; marks the word dirty."""
         self._check_index(index)
         self.writable_words()[index] = value
-        if not self.dirty_mask and self.owner is not None:
-            self.owner._dirty_pages += 1
         bit = 1 << index
         self.dirty_mask |= bit
         self.present_mask |= bit
@@ -129,7 +118,6 @@ class Page:
         copy.words = words
         copy.present_mask = self.present_mask
         copy.dirty_mask = 0
-        copy.owner = None
         return copy
 
     def items(self) -> Iterator[Tuple[int, object]]:

@@ -122,27 +122,6 @@ def _unit_spaces(system) -> list:
     return spaces
 
 
-def _unit_tracks(system) -> tuple[str, list]:
-    """The runtime's process name and its ``(tid, name)`` unit tracks."""
-    workers = getattr(system, "workers", None)
-    if workers is None:  # speculative_for: workers, service, standby
-        tracks = [(w, f"specfor-worker[{w}]") for w in range(system.num_workers)]
-        tracks.append((system.service_tid, "specfor-service"))
-        if system.standby_tid is not None:
-            tracks.append((system.standby_tid, "specfor-standby"))
-        return "speculative_for runtime units", tracks
-    tracks = [
-        (worker.tid, f"worker[{worker.stage_index}.{worker.replica}]")
-        for worker in workers
-    ]
-    tracks.append((system.trycommit_tid, "try-commit"))
-    tracks.append((system.commit_tid, "commit"))
-    tracks.extend(
-        (tid, f"coa-replica[{index}]") for index, tid in enumerate(system.replica_tids)
-    )
-    return "dsmtx runtime units", tracks
-
-
 def instrument(system, capacity: int = 1_000_000) -> Observability:
     """Attach a fresh hub to ``system``; returns the hub.
 
@@ -161,10 +140,9 @@ def instrument(system, capacity: int = 1_000_000) -> Observability:
         space.owner_tid = tid
     # Perfetto track names.
     tracer = hub.tracer
-    process_name, tracks = _unit_tracks(system)
-    tracer.set_process_name(PID_RUNTIME, process_name)
+    tracer.set_process_name(PID_RUNTIME, system.runtime_name)
     tracer.set_process_name(PID_CLUSTER, "cluster cores")
-    for tid, name in tracks:
+    for name, tid in system.unit_labels().items():
         tracer.set_thread_name(PID_RUNTIME, tid, name)
     for tid in range(system.num_units):
         core = system.core_of(tid)

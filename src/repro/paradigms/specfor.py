@@ -25,8 +25,8 @@ Three entry points:
   cluster).  The reference model the property and equivalence tests
   compare everything against.
 * :class:`SpecForSystem` — the simulated runtime: ``workers`` worker
-  units plus one reservation-commit service unit on the same
-  cluster/MPI substrate as :class:`~repro.core.runtime.DSMTXSystem`,
+  units plus one reservation-commit service unit on the
+  :class:`~repro.core.runtime.ClusterSystem` shell DSMTX runs on too,
   with all protocol traffic priced through the interconnect.
 * :func:`ensure_reservation_site` — plan validation: rejects
   ``speculative_for`` on workloads that define no reservation site,
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Optional, Sequence
 
-from repro.cluster import MPI, Interconnect, Machine, place_units
 from repro.core.config import SystemConfig
 from repro.core.integrity import CHECKSUM_BYTES, space_digest
 from repro.core.messages import (
@@ -58,10 +57,9 @@ from repro.core.reservations import (
     RoundRecord,
     next_round_size,
 )
-from repro.core.runtime import RunResult, place_standby
-from repro.core.state import SystemState
-from repro.core.stats import CheckpointRecord, FailureRecord, RunStats
-from repro.core.transport import ReliableTransport
+from repro.core.runtime import ClusterSystem, RunResult
+from repro.core.standby import ReservationStandby
+from repro.core.stats import CheckpointRecord, FailureRecord
 from repro.errors import (
     ClusterFailedError,
     ConfigurationError,
@@ -69,9 +67,8 @@ from repro.errors import (
     ParadigmError,
     ProcessInterrupt,
 )
-from repro.memory import AddressSpace, UnifiedVirtualAddressSpace
+from repro.memory import AddressSpace
 from repro.memory.layout import PAGE_SHIFT, WORD_SHIFT
-from repro.sim import Environment, Store
 
 __all__ = [
     "DONE",
@@ -464,7 +461,7 @@ def ensure_reservation_site(workload) -> ReservationSite:
 # -- simulated runtime ---------------------------------------------------------
 
 
-class SpecForSystem:
+class SpecForSystem(ClusterSystem):
     """The simulated ``speculative_for`` runtime.
 
     ``workers`` worker units plus one reservation-commit service unit,
@@ -479,6 +476,8 @@ class SpecForSystem:
     is what pins the outcome across worker counts.
     """
 
+    runtime_name = "speculative_for runtime units"
+
     def __init__(
         self,
         workload: Any,
@@ -491,86 +490,39 @@ class SpecForSystem:
                 f"speculative_for needs at least one worker, got {workers}"
             )
         site = ensure_reservation_site(workload)
-        self.workload = workload
+        if config is None:
+            config = SystemConfig(total_cores=max(3, workers + 1))
         self.num_workers = workers
+        #: The reservation service plays the commit unit (it owns the
+        #: master image); reassigned to the standby's tid at promotion.
         self.service_tid = workers
-        #: Runner/chaos convention: the "commit unit" tid — here the
-        #: reservation-commit service, which owns the master image.
-        #: Reassigned to the standby's tid at promotion.
-        self.commit_tid = self.service_tid
-        self.config = (
-            config
-            if config is not None
-            else SystemConfig(total_cores=max(3, workers + 1))
-        )
-        #: Tid of the reservation-service hot standby; ``None`` unless
-        #: ``commit_replication`` is on.  Assigned last so the worker /
-        #: service layout is unchanged by replication.
-        self.standby_tid = workers + 1 if self.config.commit_replication else None
-        self.num_units = workers + 1 + (1 if self.standby_tid is not None else 0)
-        if self.config.total_cores < self.num_units:
-            standby = " + 1 standby" if self.standby_tid is not None else ""
+        # The reservation-service hot standby (commit_replication) is
+        # assigned last so the worker / service layout is unchanged.
+        standby_tid = workers + 1 if config.commit_replication else None
+        num_units = workers + (2 if config.commit_replication else 1)
+        if config.total_cores < num_units:
+            standby = " + 1 standby" if standby_tid is not None else ""
             raise ConfigurationError(
                 f"{workers} workers + 1 service{standby} need "
-                f"{self.num_units} cores, config grants "
-                f"{self.config.total_cores}"
+                f"{num_units} cores, config grants {config.total_cores}"
             )
         self.granularity = granularity
-        self.cluster = self.config.cluster
-        self.env = Environment()
-        self.machine = Machine(self.env, self.cluster)
-        self.interconnect = Interconnect(self.env, self.machine)
-        self.mpi = MPI(self.env, self.machine, self.interconnect)
-        self.state = SystemState()
-        self.stats = RunStats()
-        #: Observability hub; every hook site no-ops while ``None``.
-        self.obs = None
-        self._core_indices = place_units(
-            self.cluster, self.num_units, self.config.placement
+        super().__init__(
+            workload, config, num_units,
+            commit_tid=self.service_tid, standby_tid=standby_tid,
         )
-        if self.standby_tid is not None:
-            place_standby(
-                self.cluster, self._core_indices, self.commit_tid,
-                self.standby_tid, self.config.standby_node,
-            )
-        #: Units lost to node failures so far.
-        self.dead_tids: set[int] = set()
         #: Worker ids still alive (node failures remove entries; the
         #: round scheduler re-partitions batches over these).
         self.live_workers: list[int] = list(range(workers))
-        #: Simulation processes hosted on each node (unit main loops,
-        #: the failure detector's per-node handles): the kill set of a
-        #: node-crash fault.
-        self._node_processes: dict[int, list] = {}
-        #: Reliable ack/retransmit transport; ``None`` without fault
-        #: tolerance, when every send puts its payload in the inbox raw.
-        self.transport = (
-            ReliableTransport(self) if self.config.fault_tolerance else None
-        )
-        #: One inbox per unit: every protocol message, plus the failure
-        #: detector's wake-up pings under fault tolerance.
-        self._inboxes = [Store(self.env) for _ in range(self.num_units)]
-        self.uva = UnifiedVirtualAddressSpace(owners=self.num_units)
         self.site_slots = site.slots
         self.service = ReservationCommitService(site.slots)
         #: Digest/report convention: ``system.commit.master`` is the
         #: committed memory image (same shape as DSMTXSystem).
         self.commit = self.service
         #: Reservation-service hot standby; ``None`` without replication.
-        if self.standby_tid is not None:
-            from repro.core.standby import ReservationStandby
-
-            self.standby = ReservationStandby(self, self.standby_tid)
-        else:
-            self.standby = None
-        #: Heartbeat failure detection; ``None`` outside fault-tolerant
-        #: mode.  Started by :meth:`run` once unit processes exist.
-        if self.config.fault_tolerance:
-            from repro.core.failure import SpecForFailureDetector
-
-            self.failure_detector = SpecForFailureDetector(self)
-        else:
-            self.failure_detector = None
+        self.standby = (
+            ReservationStandby(self, standby_tid) if standby_tid is not None else None
+        )
         from repro.workloads.base import WriteThroughStore
 
         # Program state is always allocated from owner 0's region — the
@@ -580,57 +532,17 @@ class SpecForSystem:
         # depend on the worker count.
         workload.build(self.uva, 0, WriteThroughStore(self.service.master))
 
-    # -- introspection ---------------------------------------------------------
-
-    def core_of(self, tid: int):
-        return self.machine.core(self._core_indices[tid])
-
-    def utilization(self) -> dict:
-        """Busy fraction of every unit's core over the run so far."""
-        elapsed = self.env.now
-        if elapsed <= 0:
-            return {}
-        clock = self.cluster.clock_hz
-
-        def fraction(tid: int) -> float:
-            return self.core_of(tid).busy_cycles / (elapsed * clock)
-
-        report = {
-            f"specfor-worker[{w}]": fraction(w) for w in range(self.num_workers)
-        }
-        report["specfor-service"] = fraction(self.service_tid)
+    def unit_labels(self) -> dict:
+        labels = {f"specfor-worker[{w}]": w for w in range(self.num_workers)}
+        labels["specfor-service"] = self.service_tid
         if self.standby_tid is not None:
-            report["specfor-standby"] = fraction(self.standby_tid)
-        return report
+            labels["specfor-standby"] = self.standby_tid
+        return labels
 
-    # -- fault-tolerant plumbing (duck-typed like DSMTXSystem) -----------------
-
-    def inbox_of(self, tid: int):
-        return self._inboxes[tid]
-
-    def register_node_process(self, node: int, process) -> None:
-        """Track a simulation process (or anything with ``is_alive``
-        and ``interrupt(cause)``) as hosted on ``node`` so a node-crash
-        fault kills it along with the node."""
-        self._node_processes.setdefault(node, []).append(process)
-
-    def processes_on_node(self, node: int) -> list:
-        """Every registered simulation process hosted on ``node``."""
-        return list(self._node_processes.get(node, ()))
-
-    @property
-    def standby_alive(self) -> bool:
-        return self.standby_tid is not None and self.standby_tid not in self.dead_tids
-
-    def apply_node_failure(self, node: int, dead_tids) -> None:
-        """Drop the dead units from the live scheduling state and the
-        reliable transport (frames to/from them are abandoned)."""
-        self.dead_tids.update(dead_tids)
+    def _drop_dead_units(self, node: int) -> None:
         self.live_workers = [
             w for w in range(self.num_workers) if w not in self.dead_tids
         ]
-        if self.transport is not None:
-            self.transport.forget_units(dead_tids)
 
     def promote_reservation_service(self, standby) -> tuple:
         """Swap the promoted standby in as the reservation service.
@@ -1013,46 +925,19 @@ class SpecForSystem:
 
     # -- execution -------------------------------------------------------------
 
-    def _spawn_unit(self, tid: int, generator, label: str):
-        """Start one unit's main process, registered to its host node."""
-        process = self.env.process(generator, name=label)
-        self.register_node_process(
-            self.cluster.node_of_core(self._core_indices[tid]), process
-        )
-        return process
-
     def run(self) -> RunResult:
         """Drive the loop to completion; returns the usual RunResult."""
-        start = self.env.now
-        processes = [
-            self._spawn_unit(w, self._worker_loop(w), f"specfor.worker{w}")
-            for w in range(self.num_workers)
-        ]
-        processes.append(
-            self._spawn_unit(
-                self.service_tid, self._service_loop(self.service_tid),
-                "specfor.service",
-            )
-        )
+        mains = [self._worker_loop(w) for w in range(self.num_workers)]
+        mains.append(self._service_loop(self.service_tid))
         if self.standby is not None:
             # The initial image is the epoch-0 checkpoint: the standby
             # starts from the same program state as the primary.
             self.standby.seed_image(self.service.master)
-            processes.append(
-                self._spawn_unit(
-                    self.standby_tid, self.standby.run(), "specfor.standby"
-                )
-            )
-        if self.failure_detector is not None:
-            self.failure_detector.start()
-        if self.env.chaos is not None:
-            self.env.chaos.bind_system(self)
-        self.env.run(until=self.env.all_of(processes))
+            mains.append(self.standby.run())
+        elapsed = self._run_units(mains)
         self.state.terminate()
-        elapsed = self.env.now - start
         spec = self.service.stats
         stats = self.stats
-        stats.elapsed_seconds = elapsed
         stats.specfor_rounds = spec.num_rounds
         stats.specfor_reservations = spec.reservations
         stats.specfor_reservation_failures = spec.reservation_failures

@@ -53,16 +53,12 @@ def reference():
     return workload, system, result
 
 
-def node_of(system, tid):
-    return system.cluster.node_of_core(system._core_indices[tid])
-
-
 def crash_commit_plan(reference, fraction, seed=7):
     _workload, system, result = reference
     return FaultPlan(
         faults=(
             NodeCrash(
-                node=node_of(system, system.commit_tid),
+                node=system.node_of(system.commit_tid),
                 at_s=fraction * result.elapsed_seconds,
             ),
         ),
@@ -163,7 +159,7 @@ def test_try_commit_node_loss_is_still_fatal(reference):
     plan = FaultPlan(
         faults=(
             NodeCrash(
-                node=node_of(ref_system, ref_system.trycommit_tid),
+                node=ref_system.node_of(ref_system.trycommit_tid),
                 at_s=0.5 * ref_result.elapsed_seconds,
             ),
         ),
@@ -182,7 +178,7 @@ def test_standby_node_crash_degrades_to_an_unreplicated_run(reference):
     _w, ref_system, ref_result = reference
     plan = FaultPlan(
         faults=(
-            NodeCrash(node=node_of(ref_system, ref_system.standby_tid),
+            NodeCrash(node=ref_system.node_of(ref_system.standby_tid),
                       at_s=0.3 * ref_result.elapsed_seconds),
         ),
         seed=7,
@@ -201,9 +197,9 @@ def test_commit_crash_with_a_dead_standby_is_still_fatal(reference):
     elapsed = ref_result.elapsed_seconds
     plan = FaultPlan(
         faults=(
-            NodeCrash(node=node_of(ref_system, ref_system.standby_tid),
+            NodeCrash(node=ref_system.node_of(ref_system.standby_tid),
                       at_s=0.3 * elapsed),
-            NodeCrash(node=node_of(ref_system, ref_system.commit_tid),
+            NodeCrash(node=ref_system.node_of(ref_system.commit_tid),
                       at_s=0.6 * elapsed),
         ),
         seed=7,

@@ -166,10 +166,6 @@ def promotion_case(paradigm, request):
     return build_specfor, request.getfixturevalue("specfor_reference")
 
 
-def node_of(system, tid):
-    return system.cluster.node_of_core(system._core_indices[tid])
-
-
 def corruption_plan(probability=0.05, seed=7):
     return FaultPlan(
         faults=(MessageCorruption(probability=probability),), seed=seed)
@@ -359,7 +355,7 @@ def test_corrupt_checkpoint_image_refuses_promotion(paradigm, request):
     plan = FaultPlan(
         faults=(
             StateCorruption("checkpoint", at_s=0.89 * elapsed, words=1),
-            NodeCrash(node=node_of(ref_system, ref_system.commit_tid),
+            NodeCrash(node=ref_system.node_of(ref_system.commit_tid),
                       at_s=0.9 * elapsed),
         ),
         seed=7,
@@ -380,7 +376,7 @@ def test_clean_promotion_still_succeeds_under_integrity(paradigm, request):
     build_system, reference = promotion_case(paradigm, request)
     ref_system, ref_result = reference
     plan = FaultPlan(
-        faults=(NodeCrash(node=node_of(ref_system, ref_system.commit_tid),
+        faults=(NodeCrash(node=ref_system.node_of(ref_system.commit_tid),
                           at_s=0.5 * ref_result.elapsed_seconds),),
         seed=7,
     )

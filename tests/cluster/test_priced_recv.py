@@ -362,7 +362,7 @@ def specfor_build(scenario):
                 fault_tolerance=True, commit_replication=replicated,
                 integrity=integrity,
             )
-        with patch("repro.paradigms.specfor.MPI", mpi_class):
+        with patch("repro.core.runtime.MPI", mpi_class):
             system = SpecForSystem(workload, config, workers=workers)
         env = system.env
         chaos = None

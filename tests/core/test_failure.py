@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.analysis import run_digest
 from repro.chaos import ChaosEngine, FaultPlan, NodeCrash
 from repro.core import DSMTXSystem, SystemConfig
-from repro.core.failure import FailureDetector, SpecForFailureDetector
+from repro.core.failure import FailureDetector
 from repro.core.messages import CTL_NODE_FAILED
 from repro.core.recovery import RecoveryCoordinator
 from repro.errors import ClusterFailedError, NodeCrashed, ProcessInterrupt
@@ -321,10 +321,6 @@ class _ReferenceDetector(_PerProcessLoops, FailureDetector):
     pass
 
 
-class _ReferenceSpecForDetector(_PerProcessLoops, SpecForFailureDetector):
-    pass
-
-
 #: Crash targets that exist, per (runtime, replicated).
 TARGETS = {
     (runtime, replicated): tuple(
@@ -370,12 +366,7 @@ def _differential_outcome(reference, runtime, replicated, crashes):
     A run still going at ``HORIZON_S`` stops there with ``_Unfinished``.
     """
     system = _differential_build(runtime, replicated)
-    detector_cls = {
-        (False, "dsmtx"): FailureDetector,
-        (False, "specfor"): SpecForFailureDetector,
-        (True, "dsmtx"): _ReferenceDetector,
-        (True, "specfor"): _ReferenceSpecForDetector,
-    }[reference, runtime]
+    detector_cls = _ReferenceDetector if reference else FailureDetector
     detector = system.failure_detector = detector_cls(system)
     tids = {
         "worker": 0,

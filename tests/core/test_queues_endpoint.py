@@ -125,7 +125,7 @@ def test_stale_epoch_batch_dropped_but_credit_released():
     envelope = BatchEnvelope(queue.name, epoch=99, credit_id=0,
                              entries=((WRITE, 0, 1),), nbytes=16)
     assert queue.accept_batch(envelope) is False
-    assert not queue.has_local
+    assert not queue.delivered
 
 
 def test_current_epoch_batch_accepted():
@@ -134,10 +134,7 @@ def test_current_epoch_batch_accepted():
     envelope = BatchEnvelope(queue.name, epoch=0, credit_id=0,
                              entries=((WRITE, 0, 1), (WRITE, 8, 2)), nbytes=32)
     assert queue.accept_batch(envelope) is True
-    ok, entry = queue.pop_local()
-    assert ok and entry == (WRITE, 0, 1)
-    assert queue.pop_local() == (True, (WRITE, 8, 2))
-    assert queue.pop_local() == (False, None)
+    assert list(queue.delivered) == [(WRITE, 0, 1), (WRITE, 8, 2)]
 
 
 def test_queue_discard_clears_both_sides():
@@ -146,7 +143,7 @@ def test_queue_discard_clears_both_sides():
     queue._buffer.append((WRITE, 0, 1))
     queue.accept_batch(BatchEnvelope(queue.name, 0, 0, ((WRITE, 8, 2),), 16))
     assert queue.discard() == 2
-    assert not queue.has_local
+    assert not queue.delivered
     assert not queue._buffer
 
 

@@ -7,7 +7,13 @@ counts, misspeculation positions, densities, and channel modes.
 
 import pytest
 
+from repro.analysis import memory_fingerprint
 from repro.core import DSMTXSystem, SystemConfig
+from repro.core.context import SequentialMeter
+from repro.core.state import SystemState
+from repro.memory import AddressSpace, UnifiedVirtualAddressSpace
+from repro.workloads import Crc32, run_body
+from repro.workloads.base import WriteThroughStore
 from tests.core.toys import ToyDoall, ToyPipeline
 
 
@@ -30,6 +36,45 @@ def test_seq_reexecutes_only_the_aborted_iteration():
     record = system.stats.recoveries[0]
     assert record.reexecuted_iterations == 1
     assert record.misspec_iteration == 40
+
+
+def sequential_image(workload, system):
+    """The sequential loop's committed image, built at the same UVA
+    owner as ``system``'s program state."""
+    space = AddressSpace("reference")
+    meter = SequentialMeter(system.config, space)
+    uva = UnifiedVirtualAddressSpace(owners=system.num_units)
+    workload.build(uva, system.commit_tid, WriteThroughStore(space))
+    for iteration in range(workload.iterations):
+        meter.begin_iteration(iteration)
+        run_body(workload.sequential_body(meter))
+    return memory_fingerprint(space)
+
+
+def test_an_earlier_notice_lowers_the_drain_target(monkeypatch):
+    """The notice for iteration 21 opens the drain; the notice for 20
+    arrives while it drains and lowers the target to 20.  Each then
+    rolls back on its own, re-executing only itself, and the run
+    commits the sequential loop's image."""
+    lowered = []
+    lower = SystemState.lower_pause_target
+
+    def recording_lower(state, misspec_iteration):
+        before = state.pause_target
+        lower(state, misspec_iteration)
+        lowered.append((before, state.pause_target))
+
+    monkeypatch.setattr(SystemState, "lower_pause_target", recording_lower)
+    workload = Crc32(iterations=48, misspec_iterations={20, 21})
+    system, result = run(workload, cores=8)
+    assert lowered == [(21, 20)]
+    assert [
+        (record.misspec_iteration, record.reexecuted_iterations)
+        for record in system.stats.recoveries
+    ] == [(20, 1), (21, 1)]
+    assert result.iterations == system.stats.committed_mtxs == 48
+    expected = sequential_image(Crc32(iterations=48), system)
+    assert memory_fingerprint(system.commit.master) == expected
 
 
 def test_misspec_at_first_iteration():

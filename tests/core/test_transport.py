@@ -277,8 +277,7 @@ class PerFrameTransport(ReliableTransport):
 def transport_class(cls):
     """Systems built inside the block run on ``cls`` as their transport."""
     with patch("repro.core.runtime.ReliableTransport", cls):
-        with patch("repro.paradigms.specfor.ReliableTransport", cls):
-            yield
+        yield
 
 
 # -- exact ties ----------------------------------------------------------------

@@ -23,7 +23,7 @@ def test_page_write_read():
     page = Page(0)
     page.write(3, 42)
     assert page.read(3) == 42
-    assert page.dirty
+    assert page.dirty_mask == 1 << 3
 
 
 def test_page_index_bounds():
@@ -39,7 +39,7 @@ def test_page_snapshot_is_independent():
     copy = page.snapshot()
     assert copy.number == 7
     assert copy.present_mask == page.present_mask
-    assert not copy.dirty
+    assert copy.dirty_mask == 0
     copy.write(1, "b")
     assert page.read(1) == "a"
 
@@ -71,7 +71,6 @@ def test_apply_writes_last_wins():
     assert space.read(0) == 3  # group commit: last update takes effect
     assert space.read(8) == 2
     assert space.read(PAGE_BYTES) == 4
-    assert space.dirty_page_count == 2
 
 
 # ---------------------------------------------------------------------------
@@ -116,22 +115,6 @@ def test_reprotect_all_discards_everything():
     assert space.reprotect_all() == 2
     with pytest.raises(ProtectionFault):
         space.read(0)
-
-
-def test_dirty_page_count():
-    space = AddressSpace("worker", faulting=True)
-    space.install_page(Page(0))
-    space.install_page(Page(1))
-    space.write(0, 1)
-    assert space.dirty_page_count == 1
-
-
-def test_drop_page():
-    space = AddressSpace("worker", faulting=True)
-    space.install_page(Page(0))
-    space.drop_page(0)
-    assert not space.has_page(0)
-    space.drop_page(99)  # dropping an absent page is a no-op
 
 
 def test_iter_pages_sorted():

@@ -86,10 +86,6 @@ def test_interleaved_writes_match_per_word_model(ops):
         assert space.read(address) == value
     for page in space.pages.values():
         assert page.dirty_mask & ~page.present_mask == 0
-    # The dirty counter matches a from-scratch scan.
-    assert space.dirty_page_count == sum(
-        1 for page in space.pages.values() if page.dirty_mask
-    )
 
 
 def test_read_block_of_unwritten_words_is_zero_filled():
@@ -149,7 +145,6 @@ def test_apply_entries_applies_records_last_wins():
     assert words == 6
     assert [space.read(address) for address in (0, 8, 16)] == ["a", "final", "c"]
     assert space.read(4096) == "next"
-    assert space.dirty_page_count == 2
 
 
 def test_apply_entries_kind_strings_match_runtime_messages():
@@ -161,36 +156,7 @@ def test_apply_entries_kind_strings_match_runtime_messages():
     assert address_space._ENTRY_WRITE == messages.WRITE
 
 
-# -- dirty counter and page-order cache -------------------------------------------
-
-
-def test_dirty_page_count_is_incremental():
-    space = AddressSpace("count")
-    assert space.dirty_page_count == 0
-    space.write(0, 1)
-    space.write(8, 2)          # same page: still one dirty page
-    assert space.dirty_page_count == 1
-    space.apply_writes([(4096, 1), (4104, 2)])
-    assert space.dirty_page_count == 2
-    page = Page(9)
-    page.write(0, "dirty")
-    space.install_page(page)   # installing an already-dirty page counts
-    assert space.dirty_page_count == 3
-    space.drop_page(9)
-    assert space.dirty_page_count == 2
-    space.drop_page(0)
-    assert space.dirty_page_count == 1
-    assert space.reprotect_all() == 1
-    assert space.dirty_page_count == 0
-
-
-def test_page_writes_after_install_update_owner_counter():
-    space = AddressSpace("owner")
-    page = Page(3)
-    space.install_page(page)
-    assert space.dirty_page_count == 0
-    page.write(0, "x")         # direct Page.write, not via the space
-    assert space.dirty_page_count == 1
+# -- page-order cache --------------------------------------------------------------
 
 
 def test_iter_pages_cache_tracks_installs_and_drops():
@@ -200,7 +166,8 @@ def test_iter_pages_cache_tracks_installs_and_drops():
     assert [p.number for p in space.iter_pages()] == [1, 5, 9]
     space.get_page(3)          # materialize invalidates the cached order
     assert [p.number for p in space.iter_pages()] == [1, 3, 5, 9]
-    space.drop_page(5)
-    assert [p.number for p in space.iter_pages()] == [1, 3, 9]
     space.install_page(Page(2))
-    assert [p.number for p in space.iter_pages()] == [1, 2, 3, 9]
+    assert [p.number for p in space.iter_pages()] == [1, 2, 3, 5, 9]
+    space.reprotect_all()      # dropping every page invalidates it too
+    space.install_page(Page(7))
+    assert [p.number for p in space.iter_pages()] == [7]
