@@ -26,7 +26,7 @@ site pays one is-None check (the obs-layer pattern).
 from __future__ import annotations
 
 from random import Random
-from typing import Any, Optional
+from typing import Any
 
 from repro.chaos.plan import (
     FaultPlan,
@@ -59,7 +59,6 @@ class ChaosEngine:
         self._rng = Random(plan.seed)
         self.env = None
         self._system = None
-        self._commit_node: Optional[int] = None
         #: Nodes killed so far, in crash order.
         self.dead_nodes: set[int] = set()
         #: (node, at_s) of executed crashes.
@@ -124,7 +123,6 @@ class ChaosEngine:
         honour (a crash it cannot survive, a state-corruption target it
         does not hold or cannot check)."""
         self._system = system
-        self._commit_node = system.node_of(system.commit_tid)
         if self._crashes and not system.config.fault_tolerance:
             raise ChaosError(
                 "the plan crashes nodes but SystemConfig.fault_tolerance is off; "

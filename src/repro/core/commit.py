@@ -19,7 +19,7 @@ unit being "busy committing", only queued behind it.
 
 from __future__ import annotations
 
-import zlib
+from operator import attrgetter
 from typing import Any, Generator
 
 from repro.core.context import MasterContext
@@ -42,6 +42,7 @@ from repro.core.messages import (
 from repro.core.stats import CheckpointRecord, FailureRecord, RecoveryRecord
 from repro.errors import NodeCrashed, ProcessInterrupt, RecoveryError
 from repro.memory import AddressSpace, page_number
+from repro.memory.layout import PAGE_MASK, PAGE_SHIFT, WORD_SHIFT
 from repro.obs.tracer import (
     CAT_COMMIT,
     CAT_FT_CHECKPOINT,
@@ -87,12 +88,16 @@ class CommitUnit:
             and tid == system.commit_tid
             else None
         )
-        #: Integrity mode: authoritative page digests of master memory,
-        #: updated at apply time (committed writes and SEQ re-execution
-        #: go through commit bookkeeping; a silent flip does not — that
-        #: asymmetry is what the scrubber audits).  ``None`` when off.
+        #: Integrity mode: the digest table of the content this unit
+        #: itself put in master memory — page number -> page digest, for
+        #: every page holding a word it seeded or wrote (a page with no
+        #: entry is meant to be empty), and address -> that word's term.
+        #: Commits and SEQ re-execution update it per written word; a
+        #: silent flip does not — that asymmetry is what the scrubber
+        #: audits.  ``None`` when off.
         self._integrity = self._ft and system.config.integrity
         self._page_digests: dict | None = {} if self._integrity else None
+        self._word_digests: dict | None = {} if self._integrity else None
         #: Promotion provenance, set on a promoted unit:
         #: (standby_tid, promotion_seconds, replayed_words, recommitted).
         self._promotion = None
@@ -131,15 +136,7 @@ class CommitUnit:
     def _run(self) -> Generator[Event, Any, None]:
         system = self.system
         if self._integrity:
-            # Seed the digest table from the current master: the
-            # workload prologue's initial state for a fresh unit, the
-            # replayed checkpoint image for a promoted one.
-            from repro.core.integrity import page_digest
-
-            self._page_digests = {
-                page.number: page_digest(page)
-                for page in self.master.iter_pages()
-            }
+            self._seed_digests()
         while self.next_commit < system.total_iterations:
             state = system.state
             if state.failover_pending:
@@ -282,15 +279,7 @@ class CommitUnit:
             words = 0
             for stage in sorted(per_stage):
                 writes = per_stage[stage]
-                if system.config.coa_replicas:
-                    self._check_read_only(writes)
-                words += self.master.apply_entries(writes)
-                if self._integrity:
-                    # Re-digest *before* the replication stream yields:
-                    # the scrubber can run at any yield point, and a
-                    # stale table entry would read this legitimate
-                    # commit as corruption.
-                    self._refresh_digests({page_number(entry[1]) for entry in writes})
+                words += self._apply_group(writes)
                 if repl is not None:
                     # Stream in the exact apply order so the standby's
                     # replay reproduces master memory word for word.
@@ -350,6 +339,21 @@ class CommitUnit:
                 "commit.words_per_round", buckets=(1, 4, 16, 64, 256, 1024, 4096)
             ).observe(committed_words)
 
+    def _apply_group(self, writes: list) -> int:
+        """Apply one subTX's ``W`` log entries to master, last write
+        wins, and return the number of words applied.
+
+        In integrity mode the words are digested *before* the caller's
+        replication stream yields: the scrubber can run at any yield
+        point, and a stale table entry would read this legitimate
+        commit as corruption."""
+        if self.system.config.coa_replicas:
+            self._check_read_only(writes)
+        words = self.master.apply_entries(writes)
+        if self._integrity:
+            self._digest_writes([(entry[1], entry[2]) for entry in writes])
+        return words
+
     def _maybe_checkpoint(self, committed_words: int) -> bool:
         """Epoch checkpointing (fault-tolerant mode): every
         ``checkpoint_interval_mtxs`` commits, persist the words written
@@ -394,36 +398,70 @@ class CommitUnit:
 
     # -- integrity scrubbing (integrity mode) ------------------------------------------
 
-    def _refresh_digests(self, page_numbers) -> None:
-        """Re-digest the given master pages after commit-side writes."""
-        from repro.core.integrity import page_digest
+    def _seed_digests(self) -> None:
+        """Seed the digest table from the current master: the workload
+        prologue's initial state for a fresh unit, the replayed
+        checkpoint image for a promoted one."""
+        self._page_digests = {}
+        self._word_digests = {}
+        self._digest_writes(
+            (page.number << PAGE_SHIFT | index << WORD_SHIFT, value)
+            for page in self.master.iter_pages()
+            for index, value in page.items()
+        )
 
-        table = self._page_digests
-        master = self.master
-        for number in page_numbers:
-            table[number] = page_digest(master.get_page(number))
+    def _digest_writes(self, writes) -> None:
+        """Fold ``(address, value)`` words this unit put in master into
+        the digest table, in apply order (the last write to an address
+        wins, as in master).
+
+        Each word's new term replaces the term this unit recorded for
+        the address, never one recomputed from the word master holds
+        now: a silent flip in a word a commit overwrites is healed by
+        the write, and a flip in a word it does not overwrite stays a
+        mismatch for the scrubber instead of being digested into the
+        table."""
+        from repro.core.integrity import DIGEST_MASK, empty_page_digest, word_digest
+
+        pages = self._page_digests
+        words = self._word_digests
+        for address, value in writes:
+            number = address >> PAGE_SHIFT
+            term = word_digest((address & PAGE_MASK) >> WORD_SHIFT, value)
+            digest = pages.get(number)
+            if digest is None:
+                digest = empty_page_digest(number)
+            pages[number] = (digest + term - words.get(address, 0)) & DIGEST_MASK
+            words[address] = term
 
     def scrub_once(self) -> int:
         """One scrub sweep: audit every committed page against the
-        authoritative digest table.
+        digest table of what this unit put there.
 
         Every mutation of master memory goes through commit bookkeeping
-        and refreshes its page digest; a silent flip does not — so a
-        page whose content no longer matches its recorded digest has
-        been corrupted in place.  Repair comes from the replicated
-        copy when it is provably current: the standby's folded image
-        plus its replay log reconstruct the page at the replicated
-        frontier, and when that reconstruction matches the
-        authoritative digest (no commit has touched the page since),
-        it is installed over the corrupted page — a management-path
-        page fetch, priced on the commit core like a COA install.
-        Otherwise the corruption is counted unrepairable: the run
-        finishes, but the resilience report flags it instead of
-        presenting the poisoned words as committed results.
+        and updates the table per written word; a silent flip does not
+        — so a page whose content no longer matches its recorded digest
+        has been corrupted in place.  A page with no table entry is
+        meant to be empty.  A never-written page (``ZERO_WORDS``: every
+        store and every chaos flip swaps in a private array first) with
+        no table entry costs one identity check and one lookup; it is
+        still counted in ``ft_scrub_pages``, and the sweep still charges
+        ``checkpoint_word_instructions`` per present word it audits.
+
+        Repair comes from the replicated copy when it is provably
+        current: the standby's folded image plus its replay log
+        reconstruct the page at the replicated frontier, and when that
+        reconstruction matches the table's digest (no commit has
+        touched the page since), it is installed over the corrupted
+        page — a management-path page fetch, priced on the commit core
+        like a COA install.  Otherwise the corruption is counted
+        unrepairable: the run finishes, but the resilience report flags
+        it instead of presenting the poisoned words as committed
+        results.
 
         Returns the number of corrupted pages found this sweep.
         """
-        from repro.core.integrity import page_digest
+        from repro.core.integrity import empty_page_digest, page_digest
         from repro.memory.page import ZERO_WORDS
 
         system = self.system
@@ -432,23 +470,24 @@ class CommitUnit:
         stats.ft_scrub_rounds += 1
         obs = system.obs
         found = 0
-        audited = 0
         audited_words = 0
-        for page in list(self.master.iter_pages()):
-            audited += 1
+        pages = self.master.pages
+        # Every other page is never-written and meant to be empty: clean.
+        to_digest = [
+            page for page in pages.values()
+            if page.words is not ZERO_WORDS or page.number in table
+        ]
+        to_digest.sort(key=attrgetter("number"))
+        for page in to_digest:
             number = page.number
             if page.words is ZERO_WORDS:
-                # Never written, hence no present word (every store and
-                # every chaos flip swaps in a private list first): the
-                # digest page_digest gives an empty page, in O(1).
-                actual = zlib.crc32(b"P%d[]" % number)
+                actual = empty_page_digest(number)
             else:
-                audited_words += page.word_count
+                audited_words += page.present_mask.bit_count()
                 actual = page_digest(page)
             expected = table.get(number)
             if expected is None:
-                table[number] = actual
-                continue
+                expected = empty_page_digest(number)
             if actual == expected:
                 continue
             found += 1
@@ -463,13 +502,13 @@ class CommitUnit:
 
                 obs.tracer.instant(
                     CAT_INTEGRITY, "scrub_corruption", PID_RUNTIME, self.tid,
-                    page=page.number, repaired=repaired,
+                    page=number, repaired=repaired,
                 )
                 obs.metrics.counter(
                     "integrity.scrub_repaired" if repaired
                     else "integrity.scrub_unrepairable"
                 ).inc()
-        stats.ft_scrub_pages += audited
+        stats.ft_scrub_pages += len(pages)
         self.core.charge_instructions(
             audited_words * system.config.checkpoint_word_instructions
         )
@@ -480,10 +519,11 @@ class CommitUnit:
 
         Only a provably *current* copy is used: image + replay log give
         the page at the replicated frontier, verified against the
-        authoritative digest before installation.  A stale or absent
-        copy (no standby, standby dead or promoted, or commits landed
-        on the page since the frontier) refuses the repair — installing
-        old data would be a second corruption.
+        table's digest before installation.  A stale or absent copy (no
+        standby, standby dead or promoted, or commits landed on the page
+        since the frontier) refuses the repair — installing old data
+        would be a second corruption.  An installed copy holds exactly
+        the content the table records, so the table stays as it is.
         """
         from repro.core.integrity import page_digest
         from repro.memory import word_index
@@ -603,10 +643,8 @@ class CommitUnit:
         system.stats.committed_mtxs += reexecuted
         self.next_commit = misspec_iteration + 1
         if self._integrity:
-            # SEQ wrote master directly; re-digest the touched pages.
-            self._refresh_digests(
-                {page_number(address) for address, _value in context.written}
-            )
+            # SEQ wrote master directly; digest its words in write order.
+            self._digest_writes(context.written)
         if self._repl is not None:
             # SEQ wrote master memory directly; the standby needs those
             # words too, under the advanced frontier.

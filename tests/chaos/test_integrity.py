@@ -30,6 +30,8 @@ import sys
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import memory_fingerprint, run_digest
 from repro.chaos import (
@@ -39,9 +41,18 @@ from repro.chaos import (
     NodeCrash,
     StateCorruption,
 )
-from repro.core import DSMTXSystem, SystemConfig, integrity
+from repro.cli import main
+from repro.core import DSMTXSystem, SystemConfig, integrity, standby
 from repro.core.config import PipelineConfig
-from repro.core.integrity import page_digest, payload_checksum
+from repro.core.integrity import empty_page_digest, page_digest, payload_checksum
+from repro.core.messages import (
+    CTL_COA_RESPONSE,
+    END_SUBTX,
+    WRITE,
+    BatchEnvelope,
+    ControlEnvelope,
+)
+from repro.core.transport import IngestBox
 from repro.errors import ClusterFailedError
 from repro.memory import Page
 from repro.memory.page import ZERO_WORDS
@@ -260,16 +271,67 @@ def test_repair_holds_at_any_worker_count(cores):
     assert_same_results(system, result, (ref_system, ref_result))
 
 
+class Inbox(list):
+    """A unit inbox that keeps what the ingest box delivers."""
+
+    put_nowait = list.append
+
+
+def changeable_payload(target, sender):
+    """A fresh envelope and a function that changes it in place: a
+    value in a ``BatchEnvelope`` write entry, or a word of the page
+    snapshot a COA response carries."""
+    if target == "batch entry value":
+        value = [7, 8]
+        envelope = BatchEnvelope(
+            "log", 0, 0, ((WRITE, 4096, value), (END_SUBTX, 0, 0)), 24)
+        return envelope, lambda: value.__setitem__(0, 7 ^ 1 << 3)
+    page = Page(1, {5: 42}).snapshot()
+    envelope = ControlEnvelope(CTL_COA_RESPONSE, 0, sender, (1, None, page))
+    return envelope, lambda: page.writable_words().__setitem__(5, 42 ^ 1 << 3)
+
+
+@pytest.mark.parametrize("target", ["batch entry value", "coa page word"])
+def test_payload_changed_after_stamp_is_dropped_as_corrupt(target):
+    # The receiver recomputes the checksum from the payload it got; it
+    # never reuses one computed at stamp.  So a payload that changes
+    # after ``stamp`` (as when a receiver once wrote the very page a
+    # retransmit buffer held) reads as corruption.  The change is in
+    # place: the frame and its envelope stay the objects the sender
+    # stamped.
+    system, _ = build()
+    transport = system.transport
+    src, dst = system.commit_tid, system.workers[0].tid
+    inbox = Inbox()
+    box = IngestBox(transport, dst, inbox)
+    intact, _ = changeable_payload(target, src)
+    box.put_nowait(transport.stamp(src, dst, intact, 64))
+    changed, change = changeable_payload(target, src)
+    frame = transport.stamp(src, dst, changed, 64)
+    change()
+    detected = system.stats.ft_corruptions_detected
+    box.put_nowait(frame)
+    assert inbox == [intact]
+    assert system.stats.ft_corruptions_detected == detected + 1
+
+
 # -- committed memory: the scrubber -----------------------------------------------
 
 
-def test_page_digest_hashes_the_same_bytes_for_empty_and_written_pages():
-    # An empty page takes a shortcut; its digest must not move.
+def test_page_digest_sums_the_crcs_of_its_header_and_of_each_word():
+    # An empty page digests its header alone.  A written page adds the
+    # CRC32 of each present word's encoding, mod 2**32: "i<index>;"
+    # then the value, "i<int>;" or "s<length>:<text>".  The digest
+    # misses a change only if the changed words' CRC differences sum
+    # to 0 mod 2**32 (about 2**-32 per audit; never for one word whose
+    # encoding keeps its length and differs within 32 bits).  A frame
+    # still checksums the page's whole encoding.
     empty = Page(7)
-    assert page_digest(empty) == zlib.crc32(b"P7[]")
+    assert page_digest(empty) == empty_page_digest(7) == zlib.crc32(b"P7[]")
     written = Page(7, {0: 5, 3: "x"})
-    for page in (empty, written):
-        assert page_digest(page) == payload_checksum(page)
+    words = zlib.crc32(b"i0;i5;") + zlib.crc32(b"i3;s1:x")
+    assert page_digest(written) == (zlib.crc32(b"P7[]") + words) % 2**32
+    assert payload_checksum(written) == zlib.crc32(b"P7[i0;i5;i3;s1:x]")
 
 
 def test_scrubber_detects_and_repairs_memory_corruption():
@@ -325,7 +387,7 @@ def test_scrubber_counts_zero_pages_and_catches_a_word_flipped_into_one():
 
     # A zero page whose authoritative digest is not the empty page's.
     stale = zero[0]
-    commit._page_digests[stale.number] ^= 1
+    commit._page_digests[stale.number] = empty_page_digest(stale.number) ^ 1
     unrepairable = stats.ft_corruptions_unrepairable
     assert commit.scrub_once() == 1
     assert stats.ft_corruptions_unrepairable == unrepairable + 1
@@ -338,6 +400,136 @@ def test_scrubber_is_quiet_on_a_clean_run():
     assert result.stats.ft_scrub_rounds > 0
     assert result.stats.ft_corruptions_detected == 0
     assert result.stats.ft_corruptions_repaired == 0
+
+
+def test_scrubber_catches_a_flip_that_shares_a_page_with_a_later_commit(capsys):
+    # 052.alvinn, 2048 iterations: four words flip at 32.854 ms, and
+    # commits land on a flipped page before the next sweep (35.93 ms).
+    # The table takes each committed word's term in place of the term
+    # the unit recorded for that address, so the flip is not digested
+    # into the table with the commit: the sweep finds three corrupted
+    # pages and repairs them from the standby.  The fourth detection is
+    # the standby's image failing the checkpoint taken over the flipped
+    # master (34.3 ms), healed by a later fold.  Re-digesting whole
+    # pages from master at commit vouched for the flip: three
+    # detections, two repairs and a wrong committed image.
+    status = main(["scrub", "052.alvinn", "--iterations", "2048", "--words", "4",
+                   "--seed", "0", "--corrupt-at", "32.8539"])
+    out = capsys.readouterr().out
+    assert "4 detected, 4 repaired from the standby, 0 unrepairable" in out
+    assert "committed memory matches fault-free run: True" in out
+    assert status == 0
+
+
+#: Twelve words on three pages, for commit groups that repeat addresses.
+TABLE_ADDRESSES = tuple(
+    page * 4096 + index * 8 for page in (2, 3, 5) for index in (0, 1, 7, 511))
+
+_table_writes = st.lists(
+    st.tuples(st.sampled_from(TABLE_ADDRESSES),
+              st.one_of(st.integers(-10**6, 10**6), st.text(max_size=2))),
+    min_size=1, max_size=6,
+)
+_table_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("commit"), _table_writes, st.booleans()),
+        st.tuples(st.just("seq"), _table_writes, st.booleans()),
+        st.tuples(st.just("flip"), st.integers(0, 63), st.integers(0, 15)),
+        st.tuples(st.just("sweep")),
+    ),
+    max_size=24,
+)
+
+
+def page_contents(space):
+    """page number -> {index: value} of the pages holding a word."""
+    return {page.number: dict(page.items())
+            for page in space.iter_pages() if page.present_mask}
+
+
+def model_pages(model):
+    pages = {}
+    for address, value in model.items():
+        pages.setdefault(address >> 12, {})[(address & 4095) >> 3] = value
+    return pages
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(TABLE_ADDRESSES),
+                       st.integers(-10**6, 10**6), max_size=4),
+       _table_steps)
+def test_digest_table_tracks_a_flip_free_model(prologue, steps):
+    """Differential test of the page-digest table against a model of
+    what master should hold, over commit groups (repeated addresses,
+    last write wins), SEQ-style writes, silent flips and scrub sweeps
+    with their ``_repair_page`` installs.  After every step each table
+    entry is the digest of the model's page, and a sweep flags exactly
+    the pages whose content differs from the model.  A write the
+    standby has not yet received can leave its copy of a page stale; a
+    sweep then refuses to repair that page (the standby gets the write
+    at the next replicated step) and repairs every other one."""
+    system, _ = build()
+    commit, replica = system.commit, system.standby
+    master = commit.master
+    for address, value in prologue.items():
+        master.write(address, value)
+    commit._seed_digests()
+    replica.seed_image(master)
+    model = dict(prologue)
+    unreplicated = []
+    flagged = []
+    repair = commit._repair_page
+
+    def recording_repair(page, expected):
+        flagged.append(page.number)
+        return repair(page, expected)
+
+    commit._repair_page = recording_repair
+    for step in steps:
+        kind = step[0]
+        if kind in ("commit", "seq"):
+            _, writes, replicated = step
+            if kind == "commit":
+                commit._apply_group([(WRITE, a, v) for a, v in writes])
+            else:  # SEQ writes master directly, then digests its words
+                for address, value in writes:
+                    master.write(address, value)
+                commit._digest_writes(writes)
+            model.update(writes)
+            unreplicated.extend(writes)
+            if replicated:
+                replica.replay_log.extend(unreplicated)
+                unreplicated.clear()
+        elif kind == "flip":
+            _, pick, bit = step
+            words = [(page, index) for page in master.iter_pages()
+                     for index, value in page.items() if type(value) is int]
+            if words:
+                page, index = words[pick % len(words)]
+                page.writable_words()[index] ^= 1 << bit
+        else:
+            expected = model_pages(model)
+            actual = page_contents(master)
+            differs = {n for n in expected.keys() | actual.keys()
+                       if expected.get(n, {}) != actual.get(n, {})}
+            copy = page_contents(replica.image)
+            for address, value in replica.replay_log:
+                copy.setdefault(address >> 12, {})[(address & 4095) >> 3] = value
+            stale = {n for n in differs if copy.get(n, {}) != expected.get(n, {})}
+            flagged.clear()
+            unrepairable = system.stats.ft_corruptions_unrepairable
+            assert commit.scrub_once() == len(differs)
+            assert sorted(flagged) == sorted(differs)
+            actual = page_contents(master)
+            assert {n for n in expected.keys() | actual.keys()
+                    if expected.get(n, {}) != actual.get(n, {})} == stale
+            assert (system.stats.ft_corruptions_unrepairable
+                    == unrepairable + len(stale))
+        pages = model_pages(model)
+        assert commit._page_digests == {
+            number: page_digest(Page(number, words))
+            for number, words in pages.items()
+        }
 
 
 # -- durable state: promotion refusal ---------------------------------------------
@@ -426,10 +618,10 @@ def test_integrity_off_leaves_no_integrity_state():
     assert stats.ft_scrub_pages == 0
 
 
-def integrity_calls(fn):
+def calls_into(module, fn):
     """Run ``fn()`` under a profiler; return its result and the names of
-    the functions in :mod:`repro.core.integrity` it entered."""
-    target = os.path.abspath(integrity.__file__)
+    the functions in ``module`` it entered."""
+    target = os.path.abspath(module.__file__)
     entered = set()
 
     def profile(frame, event, _arg):
@@ -446,7 +638,7 @@ def integrity_calls(fn):
 
 def test_integrity_off_runs_no_integrity_code():
     # The profiler sees integrity code when it runs...
-    _, entered = integrity_calls(lambda: payload_checksum(("W", 8, 1)))
+    _, entered = calls_into(integrity, lambda: payload_checksum(("W", 8, 1)))
     assert "payload_checksum" in entered
 
     # ... and an FT crc32 job with a commit standby but integrity off
@@ -457,8 +649,34 @@ def test_integrity_off_runs_no_integrity_code():
                               integrity=False)
         return DSMTXSystem(Crc32(iterations=48).dsmtx_plan(), config).run()
 
-    result, entered = integrity_calls(job)
+    result, entered = calls_into(integrity, job)
     assert result.stats.committed_mtxs == 48
+    assert entered == set()
+
+
+def test_replication_off_runs_no_standby_code():
+    # The exact form of "commit replication costs nothing when off"
+    # (tests/chaos/test_replication_overhead.py times it).  The profiler
+    # sees standby code when a standby is built...
+    def replicated():
+        config = SystemConfig(total_cores=8, fault_tolerance=True,
+                              commit_replication=True, placement="spread")
+        return DSMTXSystem(Crc32(iterations=48).dsmtx_plan(), config)
+
+    _, entered = calls_into(standby, replicated)
+    assert "__init__" in entered
+
+    # ... and an FT crc32 job without one, integrity on, calls none of
+    # it, neither while building nor while running.
+    def job():
+        config = SystemConfig(total_cores=8, fault_tolerance=True,
+                              commit_replication=False, placement="spread",
+                              integrity=True)
+        return DSMTXSystem(Crc32(iterations=48).dsmtx_plan(), config).run()
+
+    result, entered = calls_into(standby, job)
+    assert result.stats.committed_mtxs == 48
+    assert result.stats.ft_scrub_rounds > 0
     assert entered == set()
 
 

@@ -4,10 +4,11 @@ when the encoder is made faster.
 
 The reference below is the plain recursive ``isinstance`` encoder the
 type-dispatched one replaced.  Property tests hold ``_encode``,
-``payload_checksum``, ``page_digest`` and ``space_digest`` to its bytes
-for every shape that travels: nested tuples, lists and dicts of every
-leaf type, the NamedTuple envelopes, int and str subclasses, and page
-snapshots with int and non-int words.
+``payload_checksum`` and ``space_digest`` to its bytes for every shape
+that travels: nested tuples, lists and dicts of every leaf type, the
+NamedTuple envelopes, int and str subclasses, and page snapshots with
+int and non-int words.  ``page_digest`` is held to a reference written
+from its per-word definition over the same encoder.
 """
 
 import zlib
@@ -16,7 +17,14 @@ from enum import IntEnum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.integrity import _encode, page_digest, payload_checksum, space_digest
+from repro.core.integrity import (
+    _encode,
+    empty_page_digest,
+    page_digest,
+    payload_checksum,
+    space_digest,
+    word_digest,
+)
 from repro.core.messages import BatchEnvelope, ControlEnvelope, Frame
 from repro.memory import AddressSpace, Page
 from repro.memory.layout import WORDS_PER_PAGE
@@ -65,6 +73,25 @@ def reference_bytes(obj) -> bytes:
     parts = []
     reference_encode(obj, parts)
     return b"".join(parts)
+
+
+def reference_page_digest(page) -> int:
+    """The page digest from its definition: the CRC32 of the header
+    ``P<number>[]`` plus, for every present word, the CRC32 of the
+    reference encoding of its index followed by its value, mod 2**32.
+
+    Collision bound: a change to a page goes unseen only if the changed
+    words' CRC differences sum to 0 mod 2**32.  One word whose encoding
+    keeps its length and differs within 32 consecutive bits is always
+    seen (CRC32 catches every burst up to 32 bits); any other change is
+    missed with probability about 2**-32, taking CRC32 values of
+    distinct encodings as uniform.
+    """
+    total = zlib.crc32(b"P%d[]" % page.number)
+    for index in range(WORDS_PER_PAGE):
+        if page.present_mask >> index & 1:
+            total += zlib.crc32(reference_bytes(index) + reference_bytes(page.words[index]))
+    return total % 2**32
 
 
 def reference_space_digest(space) -> int:
@@ -159,9 +186,11 @@ def test_encoder_emits_the_reference_bytes(payload):
 
 @settings(max_examples=200, deadline=None)
 @given(pages())
-def test_page_digest_hashes_the_reference_bytes(page):
-    assert page_digest(page) == zlib.crc32(reference_bytes(page))
-    assert page_digest(page) == payload_checksum(page)
+def test_page_digest_matches_the_per_word_reference(page):
+    assert page_digest(page) == reference_page_digest(page)
+    # The terms the commit unit's table sums are the same CRCs.
+    terms = sum(word_digest(index, value) for index, value in page.items())
+    assert page_digest(page) == (empty_page_digest(page.number) + terms) % 2**32
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,3 +217,58 @@ def test_envelopes_and_subclasses_take_the_reference_route():
         parts = []
         _encode(payload, parts)
         assert b"".join(parts) == reference_bytes(payload)
+
+
+# The one-format encoders take the envelope classes, the COA payloads and
+# the batch entries a run sends, and empty or one-word pages.  Draw those
+# shapes directly: with exact ints and strs, which take the one-format
+# branches, and with int and str subclasses and bools mixed in at every
+# position, which must fall back.
+few_word_pages = st.builds(
+    lambda number, words: Page(number, words).snapshot(),
+    st.integers(min_value=0, max_value=1 << 30),
+    st.dictionaries(st.integers(min_value=0, max_value=WORDS_PER_PAGE - 1),
+                    st.one_of(int_words, word_values), max_size=2),
+)
+
+
+def hot_shapes(ints, texts):
+    coa_payloads = st.one_of(
+        st.tuples(ints, ints, st.none()),
+        st.tuples(ints, st.none(), few_word_pages),
+        st.tuples(ints, ints, word_values),
+        word_values,
+    )
+    entries = st.one_of(
+        st.tuples(texts, ints, ints),
+        st.tuples(texts, texts, ints),
+        st.tuples(texts, ints),
+        st.tuples(texts, ints, ints, ints),
+        st.tuples(texts, ints, word_values),
+        word_values,
+    )
+    return st.one_of(
+        st.builds(ControlEnvelope, texts, ints, ints, coa_payloads),
+        st.builds(BatchEnvelope, texts, ints, ints,
+                  st.lists(entries, max_size=4).map(tuple), ints),
+        few_word_pages,
+    )
+
+
+hot_envelopes = st.one_of(
+    hot_shapes(st.integers(), st.text(max_size=8)),
+    hot_shapes(
+        st.one_of(st.integers(), st.sampled_from(list(Level)), st.booleans()),
+        st.one_of(st.text(max_size=8), st.text(max_size=4).map(Tag)),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hot_envelopes)
+def test_one_format_encoders_emit_the_reference_bytes(payload):
+    parts = []
+    _encode(payload, parts)
+    expected = reference_bytes(payload)
+    assert b"".join(parts) == expected
+    assert payload_checksum(payload) == zlib.crc32(expected)
