@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from repro.campaign.schema import CampaignSpec, ScenarioSpec
+from repro.campaign.schema import ScenarioSpec
 
 __all__ = ["ScenarioResult", "run_scenario", "run_campaign", "RECORD_SCHEMA"]
 
@@ -370,7 +370,3 @@ def run_campaign(
                 progress(len(results), total, result)
     return results
 
-
-def expand_campaign(campaign: CampaignSpec) -> list[ScenarioSpec]:
-    """Convenience re-export of :meth:`CampaignSpec.expand`."""
-    return campaign.expand()

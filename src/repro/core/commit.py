@@ -8,9 +8,12 @@ The commit unit owns the program's non-speculative memory state.  It:
   validated an MTX, all of its subTXs' stores are applied to master
   memory in subTX (program) order, so the last update to a location
   wins (section 3.1);
-* orchestrates misspeculation recovery (section 4.3), including the
-  SEQ phase: re-executing the uncommitted iterations up to and
-  including the aborted one in single-threaded fashion.
+* orchestrates the section 4.3 rollback, one protocol for a
+  misspeculation and for a node loss: ERM, FLQ, then SEQ (re-executing
+  the uncommitted iterations up to and including the aborted one in
+  single-threaded fashion) or the re-partition onto the survivors, then
+  resume.  The rollback's progress lives on the system state, so a
+  standby promoted mid-rollback finishes it.
 
 The unit is event-driven over its inbox, so it can interleave COA
 service with commit traffic — workers are never blocked on the commit
@@ -98,8 +101,8 @@ class CommitUnit:
         self._integrity = self._ft and system.config.integrity
         self._page_digests: dict | None = {} if self._integrity else None
         self._word_digests: dict | None = {} if self._integrity else None
-        #: Promotion provenance, set on a promoted unit:
-        #: (standby_tid, promotion_seconds, replayed_words, recommitted).
+        #: Promotion provenance, set on a promoted unit: the dead
+        #: primary's node and the promotion fields of its FailureRecord.
         self._promotion = None
         #: Iterations the dead primary had committed past the replicated
         #: frontier (set at promotion; re-executed by the survivors).
@@ -135,22 +138,16 @@ class CommitUnit:
 
     def _run(self) -> Generator[Event, Any, None]:
         system = self.system
+        state = system.state
         if self._integrity:
             self._seed_digests()
-        while self.next_commit < system.total_iterations:
-            state = system.state
-            if state.failover_pending:
-                # A node failure supersedes everything, including an
-                # in-progress drain: the failover rolls speculative
-                # state back to the commit frontier anyway, and a
-                # surviving misspeculating worker re-reports afterwards.
-                yield from self._orchestrate_failover(state.failover_pending.pop(0))
-                continue
-            if state.draining and self.next_commit >= state.pause_target:
-                # Drained: every MTX before the misspeculation has
-                # committed; now roll back and re-execute just the
-                # aborted iteration (section 4.3).
-                yield from self._orchestrate_recovery(state.pause_target)
+        # A promoted unit may inherit a rollback in flight even with
+        # nothing left to commit: survivors wait for it at a barrier.
+        while self.next_commit < system.total_iterations or state.rollback is not None:
+            if state.rollback is not None or state.failover_pending or (
+                state.draining and self.next_commit >= state.pause_target
+            ):
+                yield from self._rollback()
                 continue
             kind, item = yield from self.endpoint.next_message()
             if kind == "ctl":
@@ -158,7 +155,7 @@ class CommitUnit:
             else:  # "batch": drain the queue's newly delivered entries
                 self._drain_queue(item)
                 yield from self._advance_commits()
-        system.state.terminate()
+        state.terminate()
         system.flush_all_inboxes()
 
     # -- message handling -------------------------------------------------------------------------
@@ -583,8 +580,7 @@ class CommitUnit:
         if state.draining:
             state.lower_pause_target(misspec_iteration)
             return
-        state.begin_draining(misspec_iteration)
-        self._drain_started_at = self.system.env.now
+        state.begin_draining(misspec_iteration, self.system.env.now)
         obs = self.system.obs
         if obs is not None:
             obs.tracer.instant(
@@ -595,193 +591,187 @@ class CommitUnit:
         for queue in self.system.all_queues():
             queue.release_all_credits()
 
-    def _orchestrate_recovery(self, misspec_iteration: int) -> Generator[Event, Any, None]:
-        """The orchestrator side of the section 4.3 protocol (runs once
-        the drain has committed everything before the aborted MTX)."""
-        system = self.system
-        env = system.env
-        detected_at = getattr(self, "_drain_started_at", env.now)
-        drain_seconds = env.now - detected_at
-        recovery_started = env.now
-        system.state.begin_recovery(misspec_iteration)
-        system.stats.misspeculations += 1
-        squashed = sum(
-            1 for i in self.ends_by_iteration if i >= self.next_commit
-        )
-        # Wake everyone: release flow-control credits and flush inboxes.
-        for queue in system.all_queues():
-            queue.release_all_credits()
-        system.flush_all_inboxes()
-        self.endpoint.clear()
-        # ERM barrier.
-        yield from system.recovery._barrier_cost(self)
-        yield system.recovery.erm_barrier.wait(self.tid)
-        erm_done = env.now
-        # FLQ: flush every queue; our own buffers too.
-        discarded = 0
-        for queue in system.all_queues():
-            discarded += queue.discard()
-        self._reset_buffers()
-        self.core.charge_instructions(
-            discarded * system.cluster.queue_op_instructions
-        )
-        yield from system.recovery._barrier_cost(self)
-        yield system.recovery.flq_barrier.wait(self.tid)
-        flq_done = env.now
-        # SEQ: single-threaded re-execution of [next_commit .. misspec].
-        reexecuted = 0
-        context = MasterContext(
-            system, self.master, self.core,
-            record_writes=self._repl is not None or self._integrity,
-        )
-        for iteration in range(self.next_commit, misspec_iteration + 1):
-            context.begin_iteration(iteration)
-            yield from system.workload_sequential_body()(context)
-            reexecuted += 1
-        yield from self.core.drain()
-        seq_done = env.now
-        system.stats.committed_mtxs += reexecuted
-        self.next_commit = misspec_iteration + 1
-        if self._integrity:
-            # SEQ wrote master directly; digest its words in write order.
-            self._digest_writes(context.written)
-        if self._repl is not None:
-            # SEQ wrote master memory directly; the standby needs those
-            # words too, under the advanced frontier.
-            for address, value in context.written:
-                yield from self._repl.produce((WRITE, address, value))
-            yield from self._repl.produce(
-                (REPL_FRONTIER, self.next_commit), nbytes=MARKER_BYTES
-            )
-            yield from self._repl.flush_pending()
-        # Resume: bump the epoch, set the new restart base, release all.
-        system.state.resume(restart_base=self.next_commit)
-        yield from system.recovery._barrier_cost(self)
-        yield system.recovery.resume_barrier.wait(self.tid)
-        obs = system.obs
-        if obs is not None:
-            tracer = obs.tracer
-            tid = self.tid
-            tracer.complete(
-                CAT_RECOVERY_DRAIN, "drain", PID_RUNTIME, tid, detected_at,
-                end_s=recovery_started, iteration=misspec_iteration,
-            )
-            tracer.complete(
-                CAT_RECOVERY_ERM, "erm", PID_RUNTIME, tid, recovery_started,
-                end_s=erm_done,
-            )
-            tracer.complete(
-                CAT_RECOVERY_FLQ, "flq", PID_RUNTIME, tid, erm_done,
-                end_s=flq_done, discarded=discarded,
-            )
-            tracer.complete(
-                CAT_RECOVERY_SEQ, "seq", PID_RUNTIME, tid, flq_done,
-                end_s=seq_done, reexecuted=reexecuted,
-            )
-            obs.metrics.counter("recovery.episodes").inc()
-            obs.metrics.counter("recovery.squashed_iterations").inc(squashed)
-            obs.metrics.counter("recovery.reexecuted_iterations").inc(reexecuted)
-        system.stats.recoveries.append(
-            RecoveryRecord(
-                misspec_iteration=misspec_iteration,
-                detected_at=detected_at,
-                drain_seconds=drain_seconds,
-                erm_seconds=erm_done - recovery_started,
-                flq_seconds=flq_done - erm_done,
-                seq_seconds=seq_done - flq_done,
-                squashed_iterations=squashed,
-                reexecuted_iterations=reexecuted,
-            )
-        )
+    def _rollback(self) -> Generator[Event, Any, None]:
+        """The section 4.3 rollback, one protocol for a misspeculation
+        and a node loss: wake every unit, ERM, FLQ, a middle step,
+        resume, records.  The middle step is SEQ over ``[next_commit ..
+        target]`` for a drained misspeculation, or the re-partition onto
+        the survivors for a node loss (master memory is a consistent
+        sequential prefix, so the commit frontier is the restart base).
+        A node failure goes first, even ahead of a drain: a surviving
+        misspeculating worker re-reports afterwards.
 
-    # -- failover orchestration (fault-tolerant mode) ----------------------------------------
-
-    def _orchestrate_failover(self, request) -> Generator[Event, Any, None]:
-        """Degraded-mode restart after a node failure.
-
-        Reuses the section 4.3 recovery machinery — the barriers shrank
-        to the survivor count when the failure detector deregistered the
-        dead units — but with two differences from a misspeculation
-        rollback: there is nothing to drain (in-flight work involving
-        the dead node is unrecoverable, so the restart base is simply
-        the commit frontier), and there is no SEQ phase (master memory
-        is already a consistent sequential prefix by construction, the
-        same observation behind :meth:`_maybe_checkpoint`).
+        Progress lives on ``state.rollback``.  A promoted standby that
+        inherits a rollback re-enters it at the first barrier that has
+        not released since it began (the dead unit's own arrival may
+        have released one before the declaration withdrew it), and
+        re-runs a SEQ the crash cut short from its replicated frontier.
         """
         system = self.system
         env = system.env
         state = system.state
-        node, dead_tids, detected_at, last_heard_at = request
-        # Speculative run-ahead past the commit frontier is lost work.
-        lost = sum(1 for i in self.ends_by_iteration if i >= self.next_commit)
-        state.begin_recovery(self.next_commit)
-        # Wake every survivor: release flow-control credits and flush
-        # inboxes; blocked units funnel into recovery.participate.
-        for queue in system.all_queues():
-            queue.release_all_credits()
-        system.flush_all_inboxes()
-        self.endpoint.clear()
-        # ERM: quiesce the survivors.
-        yield from system.recovery._barrier_cost(self)
-        yield system.recovery.erm_barrier.wait(self.tid)
-        erm_done = env.now
-        # FLQ: drop all speculative state (ours and every queue's).
-        discarded = 0
-        for queue in system.all_queues():
-            discarded += queue.discard()
-        self._reset_buffers()
-        self.core.charge_instructions(
-            discarded * system.cluster.queue_op_instructions
-        )
-        yield from system.recovery._barrier_cost(self)
-        yield system.recovery.flq_barrier.wait(self.tid)
-        flq_done = env.now
-        # Re-partition the iteration space onto the survivors, then
-        # resume from the commit frontier.
-        system.apply_node_failure(node, dead_tids)
-        if self._repl is not None and system.standby_tid in system.dead_tids:
-            # The failure took the *standby*: stop streaming — a second
-            # commit-node loss is now unrecoverable again.
-            self._repl = None
-        state.resume(restart_base=self.next_commit)
-        yield from system.recovery._barrier_cost(self)
-        yield system.recovery.resume_barrier.wait(self.tid)
-        promotion = self._promotion
-        self._promotion = None
-        record = FailureRecord(
-            node=node,
-            dead_tids=tuple(dead_tids),
-            last_heard_at=last_heard_at,
-            detected_at=detected_at,
-            resumed_at=env.now,
-            restart_base=self.next_commit,
-            lost_iterations=lost,
-            surviving_workers=sum(len(live) for live in system.live_by_stage),
-            promoted_tid=promotion[0] if promotion else -1,
-            promotion_seconds=promotion[1] if promotion else 0.0,
-            replayed_words=promotion[2] if promotion else 0,
-            recommitted_iterations=promotion[3] if promotion else 0,
-        )
-        system.stats.failures.append(record)
+        recovery = system.recovery
+        erm, flq, resume = recovery.barriers
+        rollback = state.rollback
+        if rollback is None:
+            if state.failover_pending:
+                request = state.failover_pending[0]
+                target, detected_at = None, request[2]
+            else:
+                request, target = None, state.pause_target
+                detected_at = state.drain_started_at
+                system.stats.misspeculations += 1
+            rollback = state.begin_recovery(
+                target, request, detected_at=detected_at, started_at=env.now,
+                generations=(erm.generation, flq.generation, resume.generation),
+                squashed=sum(
+                    1 for i in self.ends_by_iteration if i >= self.next_commit
+                ),
+            )
+        erm_generation, flq_generation, resume_generation = rollback.generations
+        if erm.generation == erm_generation:
+            # Wake everyone: release flow-control credits and flush
+            # inboxes; blocked units funnel into recovery.participate.
+            for queue in system.all_queues():
+                queue.release_all_credits()
+            system.flush_all_inboxes()
+            self.endpoint.clear()
+            yield from recovery._barrier_cost(self)
+            yield erm.wait(self.tid)
+        if rollback.erm_done is None:
+            rollback.erm_done = env.now
+        if flq.generation == flq_generation:
+            # FLQ: drop all speculative state (ours and every queue's).
+            discarded = 0
+            for queue in system.all_queues():
+                discarded += queue.discard()
+            rollback.discarded += discarded
+            self._reset_buffers()
+            self.core.charge_instructions(
+                discarded * system.cluster.queue_op_instructions
+            )
+            yield from recovery._barrier_cost(self)
+            yield flq.wait(self.tid)
+        if rollback.flq_done is None:
+            rollback.flq_done = env.now
+        target = rollback.target
+        if target is not None:
+            # SEQ: single-threaded re-execution of [next_commit .. target].
+            context = MasterContext(
+                system, self.master, self.core,
+                record_writes=self._repl is not None or self._integrity,
+            )
+            iterations = range(self.next_commit, target + 1)
+            for iteration in iterations:
+                context.begin_iteration(iteration)
+                yield from system.workload_sequential_body()(context)
+            yield from self.core.drain()
+            rollback.seq_done = env.now
+            rollback.reexecuted += len(iterations)
+            system.stats.committed_mtxs += len(iterations)
+            self.next_commit = target + 1
+            if self._integrity:
+                # SEQ wrote master directly; digest its words in write order.
+                self._digest_writes(context.written)
+            if self._repl is not None:
+                # The standby needs SEQ's words too, under the advanced
+                # frontier.
+                for address, value in context.written:
+                    yield from self._repl.produce((WRITE, address, value))
+                yield from self._repl.produce(
+                    (REPL_FRONTIER, self.next_commit), nbytes=MARKER_BYTES
+                )
+                yield from self._repl.flush_pending()
+        else:
+            system.apply_node_failure(*rollback.request[:2])
+            if self._repl is not None and system.standby_tid in system.dead_tids:
+                # The failure took the *standby*: stop streaming — a
+                # second commit-node loss is now unrecoverable again.
+                self._repl = None
+        if state.in_recovery:  # else the dead primary resumed already
+            state.resume(restart_base=self.next_commit)
+        if resume.generation == resume_generation:
+            yield from recovery._barrier_cost(self)
+            yield resume.wait(self.tid)
+        state.rollback = None
+        # Records, spans and metrics: each cause has its own.
         obs = system.obs
-        if obs is not None:
+        tracer = obs.tracer if obs is not None else None
+        tid = self.tid
+        started, erm_done, flq_done, seq_done, discarded, squashed = (
+            rollback.started_at, rollback.erm_done, rollback.flq_done,
+            rollback.seq_done, rollback.discarded, rollback.squashed,
+        )
+        if target is not None:
+            detected_at, reexecuted = rollback.detected_at, rollback.reexecuted
+            system.stats.recoveries.append(
+                RecoveryRecord(
+                    misspec_iteration=target,
+                    detected_at=detected_at,
+                    drain_seconds=started - detected_at,
+                    erm_seconds=erm_done - started,
+                    flq_seconds=flq_done - erm_done,
+                    seq_seconds=seq_done - flq_done,
+                    squashed_iterations=squashed,
+                    reexecuted_iterations=reexecuted,
+                )
+            )
+            if tracer is not None:
+                tracer.complete(
+                    CAT_RECOVERY_DRAIN, "drain", PID_RUNTIME, tid, detected_at,
+                    end_s=started, iteration=target,
+                )
+                tracer.complete(
+                    CAT_RECOVERY_ERM, "erm", PID_RUNTIME, tid, started, end_s=erm_done
+                )
+                tracer.complete(
+                    CAT_RECOVERY_FLQ, "flq", PID_RUNTIME, tid, erm_done,
+                    end_s=flq_done, discarded=discarded,
+                )
+                tracer.complete(
+                    CAT_RECOVERY_SEQ, "seq", PID_RUNTIME, tid, flq_done,
+                    end_s=seq_done, reexecuted=reexecuted,
+                )
+                obs.metrics.counter("recovery.episodes").inc()
+                obs.metrics.counter("recovery.squashed_iterations").inc(squashed)
+                obs.metrics.counter("recovery.reexecuted_iterations").inc(reexecuted)
+            return
+        node, dead_tids, detected_at, last_heard_at = rollback.request
+        # Promotion provenance belongs on the dead primary's node's record.
+        provenance = {}
+        if self._promotion is not None and self._promotion[0] == node:
+            provenance, self._promotion = self._promotion[1], None
+        system.stats.failures.append(
+            FailureRecord(
+                node=node,
+                dead_tids=tuple(dead_tids),
+                last_heard_at=last_heard_at,
+                detected_at=detected_at,
+                resumed_at=env.now,
+                restart_base=state.restart_base,
+                lost_iterations=squashed,
+                surviving_workers=sum(len(live) for live in system.live_by_stage),
+                **provenance,
+            )
+        )
+        if tracer is not None:
             from repro.obs.tracer import CAT_FT_FAILOVER
 
-            obs.tracer.complete(
-                CAT_FT_FAILOVER, f"failover:node{node}", PID_RUNTIME, self.tid,
-                detected_at, node=node, lost_iterations=lost,
-                restart_base=self.next_commit,
+            tracer.complete(
+                CAT_FT_FAILOVER, f"failover:node{node}", PID_RUNTIME, tid,
+                detected_at, node=node, lost_iterations=squashed,
+                restart_base=state.restart_base,
             )
-            obs.tracer.complete(
-                CAT_RECOVERY_ERM, "failover.erm", PID_RUNTIME, self.tid,
+            tracer.complete(
+                CAT_RECOVERY_ERM, "failover.erm", PID_RUNTIME, tid,
                 detected_at, end_s=erm_done,
             )
-            obs.tracer.complete(
-                CAT_RECOVERY_FLQ, "failover.flq", PID_RUNTIME, self.tid,
+            tracer.complete(
+                CAT_RECOVERY_FLQ, "failover.flq", PID_RUNTIME, tid,
                 erm_done, end_s=flq_done, discarded=discarded,
             )
             obs.metrics.counter("ft.failovers").inc()
-            obs.metrics.counter("ft.lost_iterations").inc(lost)
+            obs.metrics.counter("ft.lost_iterations").inc(squashed)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CommitUnit tid={self.tid} next_commit={self.next_commit}>"

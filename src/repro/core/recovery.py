@@ -1,4 +1,4 @@
-"""Misspeculation recovery (paper section 4.3).
+"""The rollback protocol (paper section 4.3).
 
 When an MTX conflicts with an earlier one, the system rolls back:
 
@@ -18,9 +18,16 @@ When an MTX conflicts with an earlier one, the system rolls back:
    **RFP** (refill pipeline) cost — the squashed run-ahead work —
    follows implicitly, which is why it dominates Figure 6.
 
+A node failure (fault-tolerant mode) rolls back by the same protocol,
+with the re-partition onto the survivors in place of SEQ; participants
+cannot tell the two apart.
+
 This module provides the shared barriers and the participant-side
 protocol; the orchestrator side lives in
-:class:`~repro.core.commit.CommitUnit`.
+:class:`~repro.core.commit.CommitUnit`, and the rollback in flight on
+:class:`~repro.core.state.SystemState`.  Each barrier's generation
+counts its releases, so a promoted commit unit can tell which barriers
+a rollback it inherits has already passed.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ class RecoveryCoordinator:
         self.erm_barrier = Barrier(env, parties)
         self.flq_barrier = Barrier(env, parties)
         self.resume_barrier = Barrier(env, parties)
+        #: The three barriers of one rollback, in protocol order.
+        self.barriers = (self.erm_barrier, self.flq_barrier, self.resume_barrier)
         self._deregistered: set[int] = set()
 
     def deregister(self, dead_tids) -> None:
@@ -65,7 +74,7 @@ class RecoveryCoordinator:
             return
         self._deregistered.update(fresh)
         self.parties -= len(fresh)
-        for barrier in (self.erm_barrier, self.flq_barrier, self.resume_barrier):
+        for barrier in self.barriers:
             for tid in fresh:
                 barrier.drop(tid)
             barrier.set_parties(self.parties)
@@ -82,7 +91,7 @@ class RecoveryCoordinator:
         if old_tid in self._deregistered:
             return
         self._deregistered.add(old_tid)
-        for barrier in (self.erm_barrier, self.flq_barrier, self.resume_barrier):
+        for barrier in self.barriers:
             barrier.drop(old_tid)
 
     def _barrier_cost(self, unit) -> Generator[Event, Any, None]:

@@ -379,13 +379,17 @@ class StandbyUnit(_ImageReplica):
         self._round = []
         replayed = yield from self._replay()
         commit = system.promote_standby(self)
-        commit._promotion = (
-            self.tid, system.env.now - detected_at, replayed, commit._recommitted
-        )
+        commit._promotion = (node, dict(
+            promoted_tid=self.tid,
+            promotion_seconds=system.env.now - detected_at,
+            replayed_words=replayed,
+            recommitted_iterations=commit._recommitted,
+        ))
         self._account_promotion(node, detected_at, replayed, commit._recommitted)
-        # From here on this process *is* the commit unit; its first act
-        # is popping the failover request queued by the watcher and
-        # running the degraded-mode restart with the survivors.
+        # From here on this process *is* the commit unit.  It finishes
+        # any rollback in flight, then rolls back for the declaration
+        # that took the primary's node: the degraded-mode restart with
+        # the survivors.
         yield from commit.run()
 
 

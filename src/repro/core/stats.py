@@ -89,11 +89,6 @@ class FailureRecord:
         """Detection-to-resume latency of the degraded-mode restart."""
         return self.resumed_at - self.detected_at
 
-    @property
-    def outage_seconds(self) -> float:
-        """Last-heartbeat-to-resume window (includes detection lag)."""
-        return self.resumed_at - self.last_heard_at
-
 
 @dataclass
 class CheckpointRecord:

@@ -20,7 +20,7 @@ def test_recovery_cycle_bumps_epoch():
     state = SystemState()
     state.begin_recovery(7)
     assert state.in_recovery
-    assert state.misspec_iteration == 7
+    assert state.rollback.target == 7
     state.resume(restart_base=8)
     assert not state.in_recovery
     assert state.epoch == 1
