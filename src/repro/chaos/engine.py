@@ -266,7 +266,7 @@ class ChaosEngine:
             page, index = candidates.pop(rng.randrange(len(candidates)))
             # Straight into the word array: Page.write would update the
             # masks, and honest bookkeeping is what corruption lacks.
-            page.writable_words()[index] ^= 1 << rng.randrange(16)
+            page.writable_words(index)[index] ^= 1 << rng.randrange(16)
             flipped += 1
         return flipped
 
@@ -439,7 +439,7 @@ def _corrupt_copy(payload, rng):
             return None
         snapshot = content.snapshot()
         index, value = items[rng.randrange(len(items))]
-        snapshot.writable_words()[index] = _flip_int(value, rng)
+        snapshot.writable_words(index)[index] = _flip_int(value, rng)
         return payload._replace(payload=(page_no, None, snapshot))
     if isinstance(payload, list):
         # A stand-alone Channel batch: plain values on the wire.

@@ -155,6 +155,10 @@ class CommitUnit:
             else:  # "batch": drain the queue's newly delivered entries
                 self._drain_queue(item)
                 yield from self._advance_commits()
+        # A node declared dead with nothing left to commit needs no
+        # rollback, but it still gets its record.
+        while state.failover_pending:
+            self._record_failure(state.failover_pending.pop(0), self.next_commit, 0)
         state.terminate()
         system.flush_all_inboxes()
 
@@ -233,7 +237,7 @@ class CommitUnit:
         """Group a clog queue's entries into per-iteration write sets.
 
         Groups hold the ``W`` write-log entries themselves, which
-        :meth:`AddressSpace.apply_entries` applies wholesale at commit.
+        :meth:`_apply_group` applies wholesale at commit.
         """
         group = self._open_groups.setdefault(queue.name, [])
         delivered = queue.delivered
@@ -346,9 +350,10 @@ class CommitUnit:
         commit as corruption."""
         if self.system.config.coa_replicas:
             self._check_read_only(writes)
-        words = self.master.apply_entries(writes)
+        pairs = [(entry[1], entry[2]) for entry in writes]
+        words = self.master.apply_writes(pairs)
         if self._integrity:
-            self._digest_writes([(entry[1], entry[2]) for entry in writes])
+            self._digest_writes(pairs)
         return words
 
     def _maybe_checkpoint(self, committed_words: int) -> bool:
@@ -736,24 +741,9 @@ class CommitUnit:
                 obs.metrics.counter("recovery.squashed_iterations").inc(squashed)
                 obs.metrics.counter("recovery.reexecuted_iterations").inc(reexecuted)
             return
-        node, dead_tids, detected_at, last_heard_at = rollback.request
-        # Promotion provenance belongs on the dead primary's node's record.
-        provenance = {}
-        if self._promotion is not None and self._promotion[0] == node:
-            provenance, self._promotion = self._promotion[1], None
-        system.stats.failures.append(
-            FailureRecord(
-                node=node,
-                dead_tids=tuple(dead_tids),
-                last_heard_at=last_heard_at,
-                detected_at=detected_at,
-                resumed_at=env.now,
-                restart_base=state.restart_base,
-                lost_iterations=squashed,
-                surviving_workers=sum(len(live) for live in system.live_by_stage),
-                **provenance,
-            )
-        )
+        request = rollback.request
+        self._record_failure(request, state.restart_base, squashed)
+        node, detected_at = request[0], request[2]
         if tracer is not None:
             from repro.obs.tracer import CAT_FT_FAILOVER
 
@@ -772,6 +762,34 @@ class CommitUnit:
             )
             obs.metrics.counter("ft.failovers").inc()
             obs.metrics.counter("ft.lost_iterations").inc(squashed)
+
+    def _record_failure(
+        self, request: tuple, restart_base: int, lost_iterations: int
+    ) -> None:
+        """Append the :class:`FailureRecord` of one node-failure
+        declaration; the promotion provenance belongs on the dead
+        primary's node's record."""
+        system = self.system
+        node, dead_tids, detected_at, last_heard_at = request
+        provenance = {}
+        if self._promotion is not None and self._promotion[0] == node:
+            provenance, self._promotion = self._promotion[1], None
+        system.stats.failures.append(
+            FailureRecord(
+                node=node,
+                dead_tids=tuple(dead_tids),
+                last_heard_at=last_heard_at,
+                detected_at=detected_at,
+                resumed_at=system.env.now,
+                restart_base=restart_base,
+                lost_iterations=lost_iterations,
+                surviving_workers=sum(
+                    1 for live in system.live_by_stage for tid in live
+                    if tid not in dead_tids
+                ),
+                **provenance,
+            )
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CommitUnit tid={self.tid} next_commit={self.next_commit}>"

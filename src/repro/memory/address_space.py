@@ -16,15 +16,15 @@ Two protection modes exist:
   misspeculation recovery, :meth:`reprotect_all` discards all local
   pages, reinstating the protections (paper section 4.3, step four).
 
-Workload bodies touch memory one word at a time.  Two page-level
-batch primitives apply ordered write sets, last write wins: the commit
-unit applies a commit group of ``W`` log records with
-:meth:`apply_entries`, and the standbys and the reservation service
-apply ``(address, value)`` pairs with :meth:`apply_writes`.  Pages are
-copy-on-write (:mod:`repro.memory.page`): :meth:`install_page` takes a
-:meth:`~repro.memory.page.Page.snapshot` that shares the committed
-page's frozen array, and every store path here swaps in a private list
-before it writes.
+Workload bodies touch memory one word at a time.  One page-level batch
+primitive, :meth:`apply_writes`, applies an ordered set of ``(address,
+value)`` pairs, last write wins: the commit unit's commit groups, the
+standbys' folds and replays and the reservation service's commits.
+Pages are copy-on-write and right-sized (:mod:`repro.memory.page`):
+:meth:`install_page` takes a :meth:`~repro.memory.page.Page.snapshot`
+that shares the committed page's frozen array, every store path here
+swaps in a private list before it writes and grows it when the word
+lies past its end, and a read past the end returns zero.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ from repro.memory.page import Page
 from repro.obs.tracer import CAT_PAGE_FAULT, PID_RUNTIME
 
 __all__ = ["AddressSpace"]
-
-#: The log-entry kind :meth:`AddressSpace.apply_entries` applies.  It
-#: mirrors ``repro.core.messages.WRITE`` — the memory layer cannot import
-#: the runtime layer, so the contract is pinned by
-#: ``tests/memory/test_blocks.py``.
-_ENTRY_WRITE = "W"
 
 
 class AddressSpace:
@@ -90,10 +84,14 @@ class AddressSpace:
         """
         # Fast path: aligned access to an installed page is one dict
         # lookup and one list index.  A word index derived from an
-        # aligned non-negative address is always in range.
+        # aligned non-negative address is always in the page; past the
+        # end of its right-sized array lies a word never written.
         page = self.pages.get(address >> PAGE_SHIFT)
         if page is not None and not address & WORD_MASK and address >= 0:
-            return page.words[(address & PAGE_MASK) >> WORD_SHIFT]
+            try:
+                return page.words[(address & PAGE_MASK) >> WORD_SHIFT]
+            except IndexError:
+                return 0
         check_word_aligned(address)
         page = self._page_miss(address, address >> PAGE_SHIFT)
         return page.read((address & PAGE_MASK) >> WORD_SHIFT)
@@ -109,8 +107,11 @@ class AddressSpace:
             index = (address & PAGE_MASK) >> WORD_SHIFT
             array = page.words
             if type(array) is tuple:
-                array = page.words = list(array)
-            array[index] = value
+                array = page.writable_words(index)
+            try:
+                array[index] = value
+            except IndexError:
+                page.writable_words(index)[index] = value
             bit = 1 << index
             page.dirty_mask |= bit
             page.present_mask |= bit
@@ -205,13 +206,15 @@ class AddressSpace:
 
     # -- bulk operations -----------------------------------------------------------
 
-    def apply_writes(self, writes: Iterable[Tuple[int, object]]) -> None:
-        """Apply an ordered sequence of ``(address, value)`` writes.
+    def apply_writes(self, writes: Iterable[Tuple[int, object]]) -> int:
+        """Apply an ordered sequence of ``(address, value)`` writes and
+        return how many were applied.
 
-        Used by the standbys' checkpoint folds and promotion replays and
-        by the reservation service's commits: updates are applied in
-        program order, so the last update to a location wins (paper
-        section 3.1).
+        The one batch store: the commit unit's commit groups, the
+        standbys' checkpoint folds and promotion replays, and the
+        reservation service's commits.  Updates are applied in program
+        order, so the last update to a location wins (paper section
+        3.1).
 
         Every address is validated *before* anything is applied: a
         negative or misaligned address raises
@@ -232,46 +235,15 @@ class AddressSpace:
             index = (address & PAGE_MASK) >> WORD_SHIFT
             array = page.words
             if type(array) is tuple:
-                array = page.words = list(array)
-            array[index] = value
+                array = page.writable_words(index)
+            try:
+                array[index] = value
+            except IndexError:
+                page.writable_words(index)[index] = value
             bit = 1 << index
             page.dirty_mask |= bit
             page.present_mask |= bit
-
-    def apply_entries(self, entries: Iterable[tuple]) -> int:
-        """Apply a commit group of log entries in order.
-
-        Entries are runtime write records ``("W", address, value[,
-        nbytes])`` — the kind string mirrors ``repro.core.messages``.
-        Validates every entry up front, applies last-wins in entry
-        order, and returns the number of words applied.
-        """
-        if not isinstance(entries, (list, tuple)):
-            entries = list(entries)
-        for entry in entries:
-            if entry[0] != _ENTRY_WRITE:  # pragma: no cover - defensive
-                raise UnmappedAddressError(
-                    f"apply_entries got unexpected entry kind {entry[0]!r}"
-                )
-            address = entry[1]
-            if address < 0 or address & WORD_MASK:
-                check_word_aligned(address)
-        pages = self.pages
-        for entry in entries:
-            address = entry[1]
-            page_no = address >> PAGE_SHIFT
-            page = pages.get(page_no)
-            if page is None:
-                page = self.get_page(page_no)
-            index = (address & PAGE_MASK) >> WORD_SHIFT
-            array = page.words
-            if type(array) is tuple:
-                array = page.words = list(array)
-            array[index] = entry[2]
-            bit = 1 << index
-            page.dirty_mask |= bit
-            page.present_mask |= bit
-        return len(entries)
+        return len(writes)
 
     def iter_pages(self) -> Iterator[Page]:
         """All installed pages, in page-number order (cached sort)."""

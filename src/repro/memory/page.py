@@ -1,7 +1,7 @@
 """Memory pages.
 
-A :class:`Page` stores its words in a fixed-size flat array (one slot
-per word) plus two word-granular bitmasks:
+A :class:`Page` stores its words in a flat array (one slot per word)
+plus two word-granular bitmasks:
 
 * ``present_mask`` — words explicitly written or installed.  This is
   the page's *population*: :meth:`items` iterates it, and the
@@ -19,19 +19,32 @@ it.  :meth:`Page.snapshot` (a Copy-On-Access transfer, a standby's seed
 page) freezes the source's private list into a tuple once and hands the
 same tuple to the copy, so N workers holding one committed page version
 (Figure 3(b)) hold one array between them.  Every store into ``words``
-first swaps in a private list with one ``type(words) is tuple`` check
-(:meth:`Page.writable_words`, or inlined on the hot paths of
+first swaps in a private list (:meth:`Page.writable_words`, behind one
+inlined ``type(words) is tuple`` check on the hot paths of
 :class:`~repro.memory.address_space.AddressSpace`), so a write to the
 master, to a worker's copy or to a standby image never reaches another
 holder of the array.  A store that skips the check raises ``TypeError``
 instead of writing into every sharer at once.
 
-Every page that was never written shares one read-only array,
-:data:`ZERO_WORDS`, the way an OS backs untouched memory with its shared
-zero page.  Read-only inputs touched once (crc32's files: most pages a
-COA run materializes in the master and ships to a worker) therefore cost
-no word storage at all, and the scrubber answers a ``ZERO_WORDS`` page
-in O(1).
+Every page that was never written shares one read-only full-width
+array, :data:`ZERO_WORDS`, the way an OS backs untouched memory with its
+shared zero page.  Read-only inputs touched once (crc32's files: most
+pages a COA run materializes in the master and ships to a worker)
+therefore cost no word storage at all, read without ever running past
+the end, and the scrubber answers a ``ZERO_WORDS`` page in O(1).
+
+Arrays are right-sized.  A page's array holds the slots of words
+``0..k`` for some ``k`` at least the index of its highest present word
+(and at most ``WORDS_PER_PAGE - 1``), so a page with one written word
+costs one slot, not 512.  The first store into an unwritten page
+allocates ``index + 1`` slots; a later store past the end grows the
+page's private list in place, at least doubling it, up to the full
+page (:meth:`Page.writable_words`).  Every present word therefore lies inside
+the array: :meth:`Page.items`, the integrity encoders and the chaos
+engine's flips, which touch present words only, index it directly.  A
+read past the end is a word never written and returns zero.  A snapshot
+freezes the array at its length, so COA responses and standby seeds
+share the right-sized tuple.
 
 Word values stay boxed Python objects (workloads store ints, floats and
 strings), so a private array is a plain list — a contiguous C array of
@@ -47,9 +60,9 @@ from repro.memory.layout import WORDS_PER_PAGE
 
 __all__ = ["Page", "ZERO_WORDS"]
 
-#: The word array shared by every never-written page.  Read-only, like
-#: every tuple a page holds: a page swaps in a private list before its
-#: first store.
+#: The word array shared by every never-written page: full width, so
+#: reads of it never run past the end.  Read-only, like every tuple a
+#: page holds: a page swaps in a private list before its first store.
 ZERO_WORDS: tuple = (0,) * WORDS_PER_PAGE
 
 
@@ -60,38 +73,52 @@ class Page:
 
     def __init__(self, number: int, words: Dict[int, object] | None = None) -> None:
         self.number = number
-        #: Flat word array, one slot per word (zero = never written): a
-        #: shared tuple (:data:`ZERO_WORDS` until the first store) or a
-        #: private list.
+        #: Flat word array, one slot per word up to at least the highest
+        #: present one (zero = never written): a shared tuple
+        #: (:data:`ZERO_WORDS` until the first store) or a private list.
         self.words: list | tuple = ZERO_WORDS
         self.present_mask = 0
         self.dirty_mask = 0
         if words:
-            array = self.words = [0] * WORDS_PER_PAGE
             mask = 0
-            for index, value in words.items():
+            for index in words:
                 self._check_index(index)
-                array[index] = value
                 mask |= 1 << index
+            array = self.words = [0] * mask.bit_length()
+            for index, value in words.items():
+                array[index] = value
             self.present_mask = mask
 
-    def writable_words(self) -> list:
-        """The page's private word list, swapped in for a shared array
-        on first use."""
+    def writable_words(self, index: int) -> list:
+        """The page's private word list, with a slot for word ``index``.
+
+        A shared array is swapped for a private list first: the zero
+        page for ``index + 1`` zero slots, a frozen tuple for a list copy
+        of it.  A list too short for ``index`` grows in place to ``index
+        + 1`` slots or double its length, whichever is more, up to the
+        full page."""
         words = self.words
         if type(words) is tuple:
-            words = self.words = list(words)
+            words = self.words = (
+                [0] * (index + 1) if words is ZERO_WORDS else list(words)
+            )
+        size = len(words)
+        if index >= size:
+            words.extend([0] * (min(WORDS_PER_PAGE, max(index + 1, 2 * size)) - size))
         return words
 
     def read(self, index: int) -> object:
         """Value of word ``index`` (zero if never written)."""
         self._check_index(index)
-        return self.words[index]
+        try:
+            return self.words[index]
+        except IndexError:  # past the end of the array: never written
+            return 0
 
     def write(self, index: int, value: object) -> None:
         """Set word ``index`` to ``value``; marks the word dirty."""
         self._check_index(index)
-        self.writable_words()[index] = value
+        self.writable_words(index)[index] = value
         bit = 1 << index
         self.dirty_mask |= bit
         self.present_mask |= bit
@@ -100,16 +127,16 @@ class Page:
         """Set word ``index`` without dirtying it (a committed copy
         pulled in by the word-granularity COA ablation)."""
         self._check_index(index)
-        self.writable_words()[index] = value
+        self.writable_words(index)[index] = value
         self.present_mask |= 1 << index
 
     def snapshot(self) -> "Page":
         """A clean copy with the same words and present words (a COA
         transfer), sharing this page's array.
 
-        A private list is frozen into a tuple first, once; each sharer
-        copies the tuple back into a list of its own when it is first
-        written."""
+        A private list is frozen into a tuple of the same length first,
+        once; each sharer copies the tuple back into a list of its own
+        when it is first written."""
         words = self.words
         if type(words) is not tuple:
             words = self.words = tuple(words)

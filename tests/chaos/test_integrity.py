@@ -288,7 +288,7 @@ def changeable_payload(target, sender):
         return envelope, lambda: value.__setitem__(0, 7 ^ 1 << 3)
     page = Page(1, {5: 42}).snapshot()
     envelope = ControlEnvelope(CTL_COA_RESPONSE, 0, sender, (1, None, page))
-    return envelope, lambda: page.writable_words().__setitem__(5, 42 ^ 1 << 3)
+    return envelope, lambda: page.writable_words(5).__setitem__(5, 42 ^ 1 << 3)
 
 
 @pytest.mark.parametrize("target", ["batch entry value", "coa page word"])
@@ -375,7 +375,7 @@ def test_scrubber_counts_zero_pages_and_catches_a_word_flipped_into_one():
     # A bit flipped into a never-written page, with no bookkeeping: the
     # page gets a private array and a present word, nothing else.
     victim = zero[len(zero) // 2]
-    victim.writable_words()[5] ^= 1 << 3
+    victim.writable_words(5)[5] ^= 1 << 3
     victim.present_mask |= 1 << 5
     detected = stats.ft_corruptions_detected
     repaired = stats.ft_corruptions_repaired
@@ -506,7 +506,7 @@ def test_digest_table_tracks_a_flip_free_model(prologue, steps):
                      for index, value in page.items() if type(value) is int]
             if words:
                 page, index = words[pick % len(words)]
-                page.writable_words()[index] ^= 1 << bit
+                page.writable_words(index)[index] ^= 1 << bit
         else:
             expected = model_pages(model)
             actual = page_contents(master)

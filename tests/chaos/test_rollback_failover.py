@@ -117,10 +117,16 @@ def test_promotion_with_nothing_left_to_commit_still_meets_the_survivors(
     primary reach the resume barrier after SEQ's words and frontier have
     reached the standby: the fault-free SEQ ends at 21.855 ms.  A crash
     at 21.86 ms leaves a promoted unit with all 24 MTXs committed and
-    the survivors waiting for it at the resume barrier."""
-    system, _ = run((("commit", 21.86),), misspec={23}, barrier_instructions=40_000)
+    the survivors waiting for it at the resume barrier.  The commit
+    node's declaration then needs no rollback, but it still gets its
+    record, with the promotion on it."""
+    system, dead_nodes = run(
+        (("commit", 21.86),), misspec={23}, barrier_instructions=40_000
+    )
     assert system.standby.frontier == ITERATIONS
-    assert system.stats.committed_mtxs == ITERATIONS
-    assert memory_fingerprint(system.commit.master) == reference_image
     assert [r.misspec_iteration for r in system.stats.recoveries] == [23]
-    assert system.stats.ft_promotions == 1
+    assert_finished_like_the_reference(system, reference_image, dead_nodes)
+    [record] = system.stats.failures
+    assert record.promoted_tid == system.commit_tid
+    assert record.lost_iterations == 0
+    assert record.restart_base == ITERATIONS

@@ -1,11 +1,11 @@
 """Batch-access correctness: batch writes vs. a per-word reference model.
 
-The batch primitives (``apply_writes``/``apply_entries``) must be
-indistinguishable from the per-word stores they amortize.  The property
-test here drives arbitrary interleavings of them and per-word writes
-against a plain-dict reference model — including batches spanning
-several pages and recovery (``reprotect_all``) in the middle — and the
-negative-address regressions pin the up-front validation added to
+The batch primitive (``apply_writes``) must be indistinguishable from
+the per-word stores it amortizes.  The property test here drives
+arbitrary interleavings of it and per-word writes against a plain-dict
+reference model — including batches spanning several pages and
+recovery (``reprotect_all``) in the middle — and the negative-address
+regressions pin the up-front validation added to
 ``get_page``/``apply_writes``.
 """
 
@@ -27,7 +27,6 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("write"), _ADDRESSES, _VALUES),
         st.tuples(st.just("apply_writes"), _PAIRS),
-        st.tuples(st.just("apply_entries"), _PAIRS),
         st.tuples(st.just("reprotect"),),
     ),
     max_size=30,
@@ -50,12 +49,6 @@ def _apply_space(space, op):
         space.write(op[1], op[2])
     elif op[0] == "apply_writes":
         space.apply_writes(op[1])
-    elif op[0] == "apply_entries":
-        # A 4th element prices the wire only; mix both record shapes.
-        space.apply_entries([
-            ("W", address, value) if i % 2 else ("W", address, value, 8)
-            for i, (address, value) in enumerate(op[1])
-        ])
     else:
         space.reprotect_all()
 
@@ -122,38 +115,22 @@ def test_apply_writes_rejects_negative_addresses_atomically():
     assert dirty_words(space) == {0: "seed"}
 
 
-def test_apply_entries_rejects_negative_addresses_atomically():
-    space = AddressSpace("atomic2")
-    with pytest.raises(UnmappedAddressError):
-        space.apply_entries([("W", 0, "a"), ("W", -16, "b"), ("W", 8, "c")])
-    assert not space.pages
+# -- apply_writes semantics -------------------------------------------------------
 
 
-# -- apply_entries semantics ------------------------------------------------------
-
-
-def test_apply_entries_applies_records_last_wins():
-    space = AddressSpace("entries")
-    words = space.apply_entries([
-        ("W", 0, "old"),
-        ("W", 0, "a"),
-        ("W", 8, "mid"),
-        ("W", 16, "c"),
-        ("W", 8, "final", 4096),  # a 4th element prices the wire only
-        ("W", 4096, "next"),
+def test_apply_writes_applies_pairs_last_wins():
+    space = AddressSpace("pairs")
+    words = space.apply_writes([
+        (0, "old"),
+        (0, "a"),
+        (8, "mid"),
+        (16, "c"),
+        (8, "final"),
+        (4096, "next"),
     ])
     assert words == 6
     assert [space.read(address) for address in (0, 8, 16)] == ["a", "final", "c"]
     assert space.read(4096) == "next"
-
-
-def test_apply_entries_kind_strings_match_runtime_messages():
-    # The memory layer cannot import repro.core (layering), so the entry
-    # kinds are string literals; this pins them to the runtime constants.
-    from repro.core import messages
-    from repro.memory import address_space
-
-    assert address_space._ENTRY_WRITE == messages.WRITE
 
 
 # -- page-order cache --------------------------------------------------------------

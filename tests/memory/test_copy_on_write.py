@@ -32,7 +32,7 @@ _VALUES = st.integers(-3, 40)
 _HOLDERS = st.integers(0, 7)
 _STORES = (
     "space.write", "page.write", "install_word", "apply_writes",
-    "apply_entries", "write_min", "flip",
+    "write_min", "flip",
 )
 
 _OPS = st.lists(
@@ -82,13 +82,11 @@ def store(space, page, kind, index, value):
         page.install_word(index, value)
     elif kind == "apply_writes":
         space.apply_writes([(address, value)])
-    elif kind == "apply_entries":
-        space.apply_entries([("W", address, value)])
     elif kind == "write_min":
         if value > 0:
             space.write_min(address, value)
     else:  # flip, as the chaos engine does it
-        page.writable_words()[index] ^= 1 << (value % 16)
+        page.writable_words(index)[index] ^= 1 << (value % 16)
 
 
 @settings(max_examples=300, deadline=None)
@@ -97,7 +95,9 @@ def test_interleaved_snapshots_and_stores_match_a_per_page_model(ops):
     """Holder 0 is a master page; every other holder is a snapshot
     installed in a worker space of its own.  Whatever the order of
     snapshots, re-installs and stores, each holder ends with exactly its
-    model's words and masks: no store reaches another page."""
+    model's words and masks: no store reaches another page.  Words are
+    compared through reads: an array holds only the slots up to at
+    least its highest present word."""
     master = AddressSpace("master")
     master.write(BASE + 8, 7)
     spaces = [master]
@@ -129,14 +129,15 @@ def test_interleaved_snapshots_and_stores_match_a_per_page_model(ops):
     for space, page, model in zip(spaces, pages, models):
         assert space.pages[NUMBER] is page
         expected = [model.words.get(index, 0) for index in range(WORDS_PER_PAGE)]
-        assert list(page.words) == expected
+        assert [page.read(index) for index in range(WORDS_PER_PAGE)] == expected
+        assert [space.read(BASE + 8 * index) for index in range(WORDS_PER_PAGE)] == expected
         assert page.present_mask == model.present
         assert page.dirty_mask == model.dirty
 
 
 def test_snapshots_of_an_unchanged_page_share_one_array():
     master = AddressSpace("master")
-    master.apply_entries([("W", BASE + 8 * index, index) for index in range(4)])
+    master.apply_writes([(BASE + 8 * index, index) for index in range(4)])
     page = master.get_page(NUMBER)
     copies = [page.snapshot() for _ in range(5)]
     copies.append(copies[0].snapshot())
@@ -148,10 +149,10 @@ def test_snapshots_of_an_unchanged_page_share_one_array():
 
 def test_commit_after_a_snapshot_leaves_the_snapshot_unchanged():
     master = AddressSpace("master")
-    master.apply_entries([("W", BASE, "v1"), ("W", BASE + 8, "kept")])
+    master.apply_writes([(BASE, "v1"), (BASE + 8, "kept")])
     served = master.get_page(NUMBER).snapshot()
     before = served.words
-    master.apply_entries([("W", BASE, "v2"), ("W", BASE + 16, "new")])
+    master.apply_writes([(BASE, "v2"), (BASE + 16, "new")])
     assert served.words is before
     assert [served.read(index) for index in range(3)] == ["v1", "kept", 0]
     assert served.present_mask == 0b11

@@ -82,11 +82,8 @@ WRITE_PATHS = {
     "Page.install_word": (lambda s: s.get_page(1).install_word(3, 7), {1}),
     "AddressSpace.write": (lambda s: s.write(PAGE_BYTES + 24, 7), {1}),
     "write_min": (lambda s: s.write_min(PAGE_BYTES + 24, 7), {1}),
-    "apply_writes": (lambda s: s.apply_writes([(PAGE_BYTES + 24, 7)]), {1}),
-    "apply_entries": (
-        lambda s: s.apply_entries(
-            [("W", 8, 7), ("W", PAGE_BYTES + 32, 8), ("W", PAGE_BYTES + 40, 9)]
-        ),
+    "apply_writes": (
+        lambda s: s.apply_writes([(8, 7), (PAGE_BYTES + 32, 8), (PAGE_BYTES + 40, 9)]),
         {0, 1},
     ),
 }
