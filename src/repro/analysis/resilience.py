@@ -21,7 +21,6 @@ Two jobs:
 
 from __future__ import annotations
 
-import hashlib
 from typing import Optional
 
 from repro.analysis.report import render_table
@@ -158,7 +157,13 @@ def run_fingerprint(stats, master=None, chaos=None) -> str:
 
 
 def run_digest(stats, master=None, chaos=None) -> str:
-    """sha256 of :func:`run_fingerprint`."""
+    """sha256 of :func:`run_fingerprint`.
+
+    ``hashlib`` is imported here, not at module level: it maps OpenSSL's
+    libcrypto (about 3.4 MB resident), which a process that takes no
+    digest should not carry."""
+    import hashlib
+
     return hashlib.sha256(
         run_fingerprint(stats, master=master, chaos=chaos).encode()
     ).hexdigest()

@@ -22,7 +22,6 @@ The field reference, with defaults and validation rules, lives in
 from __future__ import annotations
 
 import difflib
-import hashlib
 import itertools
 import json
 import warnings
@@ -652,7 +651,11 @@ def scenario_digest(spec: ScenarioSpec) -> str:
     The digest is the scenario's identity in the results store: it
     changes when (and only when) any field that can affect the run
     changes, so re-running an identical campaign hits identical keys.
+    ``hashlib`` is imported on demand, as in
+    :func:`repro.analysis.resilience.run_digest`.
     """
+    import hashlib
+
     canon = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 

@@ -44,7 +44,7 @@ from repro.core.messages import (
 )
 from repro.core.stats import CheckpointRecord, FailureRecord, RecoveryRecord
 from repro.errors import NodeCrashed, ProcessInterrupt, RecoveryError
-from repro.memory import AddressSpace, page_number
+from repro.memory import AddressSpace, Page, page_number
 from repro.memory.layout import PAGE_MASK, PAGE_SHIFT, WORD_SHIFT
 from repro.obs.tracer import (
     CAT_COMMIT,
@@ -101,6 +101,10 @@ class CommitUnit:
         self._integrity = self._ft and system.config.integrity
         self._page_digests: dict | None = {} if self._integrity else None
         self._word_digests: dict | None = {} if self._integrity else None
+        #: Integrity mode: pages COA-served while master held no entry
+        #: for them (:meth:`_serve_coa`); the scrubber counts them with
+        #: master's pages.  ``None`` when off.
+        self._served_pages: set | None = set() if self._integrity else None
         #: Promotion provenance, set on a promoted unit: the dead
         #: primary's node and the promotion fields of its FailureRecord.
         self._promotion = None
@@ -206,8 +210,18 @@ class CommitUnit:
         obs = self.system.obs
         start = self.system.env.now if obs is not None else 0.0
         self.core.charge_instructions(COA_SERVICE_INSTRUCTIONS)
+        page = self.master.pages.get(page_no)
+        if page is None:
+            # Never written: answered with an empty page, and master
+            # gains no page-table entry (a first touch costs a round
+            # trip, not committed memory).  The scrubber still counts
+            # the page (:meth:`scrub_once`).
+            page = Page(page_no)
+            if self._served_pages is not None:
+                self._served_pages.add(page_no)
+        elif word_index is None:
+            page = page.snapshot()  # shares the committed frozen array
         if word_index is None:
-            page = self.master.get_page(page_no).snapshot()
             self.system.stats.coa_pages_served += 1
             self.system.stats.record_queue_bytes("coa", self.system.cluster.page_bytes)
             yield from self.endpoint.send_ctl(
@@ -217,7 +231,7 @@ class CommitUnit:
                 nbytes=self.system.cluster.page_bytes,
             )
         else:
-            value = self.master.get_page(page_no).read(word_index)
+            value = page.read(word_index)
             self.system.stats.coa_words_served += 1
             self.system.stats.record_queue_bytes("coa", 16)
             yield from self.endpoint.send_ctl(
@@ -444,10 +458,13 @@ class CommitUnit:
         and updates the table per written word; a silent flip does not
         — so a page whose content no longer matches its recorded digest
         has been corrupted in place.  A page with no table entry is
-        meant to be empty.  A never-written page (``ZERO_WORDS``: every
-        store and every chaos flip swaps in a private array first) with
-        no table entry costs one identity check and one lookup; it is
-        still counted in ``ft_scrub_pages``, and the sweep still charges
+        meant to be empty.  A never-written page in master (``ZERO_WORDS``:
+        every store and every chaos flip swaps in a private array first;
+        a master read materializes one) with no table entry costs one
+        identity check and one lookup.  A never-written page COA-served
+        from outside master costs nothing to audit: no flip can reach a
+        page master does not hold.  ``ft_scrub_pages`` counts both kinds,
+        each once per sweep, and the sweep charges
         ``checkpoint_word_instructions`` per present word it audits.
 
         Repair comes from the replicated copy when it is provably
@@ -510,7 +527,12 @@ class CommitUnit:
                     "integrity.scrub_repaired" if repaired
                     else "integrity.scrub_unrepairable"
                 ).inc()
-        stats.ft_scrub_pages += len(pages)
+        # Count master's pages and the never-written pages served from
+        # outside it, each once: drop the served pages master has since
+        # gained.
+        served = self._served_pages
+        served.difference_update(pages)
+        stats.ft_scrub_pages += len(pages) + len(served)
         self.core.charge_instructions(
             audited_words * system.config.checkpoint_word_instructions
         )
@@ -538,8 +560,6 @@ class CommitUnit:
             or system.standby_tid in system.dead_tids
         ):
             return False
-        from repro.memory.page import Page
-
         base = standby.image.pages.get(page.number)
         candidate = base.snapshot() if base is not None else Page(page.number)
         for address, value in standby.replay_log:

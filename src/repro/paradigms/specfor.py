@@ -225,6 +225,13 @@ class _RoundEngine:
     statistic are identical by construction.  All decisions here are
     functions of the iteration space and the committed state only —
     the round size in particular never consults the worker count.
+
+    Liveness: a run of :attr:`stall_limit` consecutive rounds that
+    complete no iteration raises :class:`~repro.errors.ParadigmError`
+    instead of looping forever (PBBS's ``maxTries = 100 + 200 *
+    granularity``, applied to the streak without progress rather than
+    to the total round count, which long contended loops exceed while
+    progressing every round).
     """
 
     def __init__(
@@ -245,6 +252,10 @@ class _RoundEngine:
         self.max_round = iterations // granularity + 1
         self.size = max(1, self.max_round // 2)
         self.round_index = 0
+        #: Consecutive rounds that completed no iteration (an aborted
+        #: round does not count), and the streak that ends the loop.
+        self.stalled_rounds = 0
+        self.stall_limit = 100 + 200 * granularity
         #: Committed (address, value) entries not yet broadcast to the
         #: workers' snapshots; starts as the built program state.
         self.delta = _snapshot_entries(service.master)
@@ -281,7 +292,7 @@ class _RoundEngine:
         exactly like round 0's snapshot).  Every later decision is the
         same function of this state as it was on the dead primary, which
         is what keeps the crashed run byte-identical to the fault-free
-        one.
+        one.  The streak of rounds without progress starts again at zero.
         """
         engine = cls(service, iterations, granularity)
         engine.pending = deque(pending)
@@ -364,6 +375,18 @@ class _RoundEngine:
         )
         self.service.stats.record_round(record)
         self.service.end_round()
+        if record.completed:
+            self.stalled_rounds = 0
+        else:
+            self.stalled_rounds += 1
+            if self.stalled_rounds >= self.stall_limit:
+                shown = ", ".join(map(str, carried[:8]))
+                more = f", ... ({len(carried)} in all)" if len(carried) > 8 else ""
+                raise ParadigmError(
+                    f"speculative_for made no progress in {self.stalled_rounds} "
+                    f"consecutive rounds (bound 100 + 200 x granularity); "
+                    f"carried iterations: [{shown}{more}]"
+                )
         # Next round's snapshot delta: last-write-wins over the
         # iteration-ordered write sets, in ascending address order.
         merged: dict = {}

@@ -33,6 +33,7 @@ against TLS/DSMTX.
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
 from repro.core.config import PipelineConfig
@@ -120,7 +121,7 @@ class _SpanningForestStep:
         from repro.paradigms.specfor import TRY_COMMIT
 
         w = self.w
-        u, v = w.edges[iteration]
+        u, v = w.edge_u[iteration], w.edge_v[iteration]
         ctx.compute(w.edge_cycles)
         ru = self._find(ctx, u)
         rv = self._find(ctx, v)
@@ -131,7 +132,7 @@ class _SpanningForestStep:
 
     def commit(self, ctx, iteration: int) -> bool:
         w = self.w
-        u, v = w.edges[iteration]
+        u, v = w.edge_u[iteration], w.edge_v[iteration]
         ru = self._find(ctx, u)
         rv = self._find(ctx, v)
         if ru == rv:
@@ -155,14 +156,17 @@ class SpanningForest(_IrregularWorkload):
         # edges from a small vertex pool, so roots collide constantly; a
         # sparse one spreads endpoints out.
         self.num_vertices = max(2, int(iterations * (1.6 - 1.4 * self.density)))
-        edges = []
+        # Edge i joins edge_u[i] and edge_v[i]: two flat arrays, 16 bytes
+        # an edge, where a list of (u, v) tuples costs about 120.
+        self.edge_u = array("q")
+        self.edge_v = array("q")
         for i in range(iterations):
             u = int(mix(i, salt=11) * self.num_vertices)
             v = int(mix(i, salt=12) * self.num_vertices)
             if u == v:
                 v = (u + 1) % self.num_vertices
-            edges.append((u, v))
-        self.edges = edges
+            self.edge_u.append(u)
+            self.edge_v.append(v)
 
     def build(self, uva, owner, store):
         self.parents_base = uva.malloc_page_aligned(owner, self.num_vertices * 8)
@@ -186,7 +190,7 @@ class SpanningForest(_IrregularWorkload):
 
     def _body(self, ctx, speculative):
         i = ctx.iteration
-        u, v = self.edges[i]
+        u, v = self.edge_u[i], self.edge_v[i]
         ctx.compute(self.edge_cycles)
         # Parent cells are the mutable shared state: speculative loads
         # here are what the try-commit unit validates, so a concurrent

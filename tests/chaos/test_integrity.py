@@ -55,6 +55,7 @@ from repro.core.messages import (
 from repro.core.transport import IngestBox
 from repro.errors import ClusterFailedError
 from repro.memory import Page
+from repro.memory.layout import PAGE_SHIFT
 from repro.memory.page import ZERO_WORDS
 from repro.paradigms import SpecForSystem
 from repro.workloads import Crc32, H264Ref, SpanningForest
@@ -358,19 +359,34 @@ def test_scrubber_detects_and_repairs_memory_corruption():
 
 
 def test_scrubber_counts_zero_pages_and_catches_a_word_flipped_into_one():
-    """Never-written master pages (the shared zero array) are audited
-    in O(1) but still counted, and still caught when a word appears in
-    one, or when their table entry is not the empty page's digest."""
+    """Never-written pages are counted once per sweep, whether master
+    holds them or a COA serve answered them from outside it.  A
+    never-written master page (the shared zero array, materialized by a
+    master read) is audited in O(1), and still caught when a word
+    appears in it, or when its table entry is not the empty page's
+    digest."""
     system, _ = build(workload_cls=Crc32)
     system.run()
     commit = system.commit
     stats = system.stats
-    pages = list(commit.master.iter_pages())
-    zero = [page for page in pages if page.words is ZERO_WORDS]
-    assert zero and len(zero) < len(pages)
+    master = commit.master
+    # A COA serve of a never-written page adds nothing to master.
+    served = commit._served_pages
+    assert served and not served & set(master.pages)
+    covered = len(set(master.pages) | served)
     audited = stats.ft_scrub_pages
     assert commit.scrub_once() == 0
-    assert stats.ft_scrub_pages == audited + len(pages)
+    assert stats.ft_scrub_pages == audited + covered
+
+    # Master reads of served pages materialize them: counted once.
+    for number in sorted(served)[::8]:
+        assert master.read(number << PAGE_SHIFT) == 0
+    zero = [page for page in master.iter_pages() if page.words is ZERO_WORDS]
+    assert zero and len(zero) < len(master.pages)
+    audited = stats.ft_scrub_pages
+    assert commit.scrub_once() == 0
+    assert len(set(master.pages) | served) == covered
+    assert stats.ft_scrub_pages == audited + covered
 
     # A bit flipped into a never-written page, with no bookkeeping: the
     # page gets a private array and a present word, nothing else.

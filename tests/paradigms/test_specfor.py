@@ -206,6 +206,63 @@ def test_reserving_then_backing_off_is_rejected():
         speculative_for(ReservesButRetries(), 2, slots=1)
 
 
+class AlwaysTryAgain:
+    """Toy step that never makes progress."""
+
+    def reserve(self, ctx, iteration):
+        return TRY_AGAIN
+
+    def commit(self, ctx, iteration):
+        return True
+
+
+class StuckForest(SpanningForest):
+    def specfor_step(self):
+        return AlwaysTryAgain()
+
+
+@pytest.mark.parametrize("granularity", [1, 2])
+@pytest.mark.parametrize("entry", ["pure", "system"])
+def test_a_loop_without_progress_raises_after_the_bound(entry, granularity):
+    """100 + 200 x granularity consecutive rounds that complete no
+    iteration end the loop with an error naming the carried
+    iterations, in the reference and in the simulated runtime alike."""
+    with pytest.raises(ParadigmError) as excinfo:
+        if entry == "pure":
+            speculative_for(AlwaysTryAgain(), 6, slots=1, granularity=granularity)
+        else:
+            SpecForSystem(StuckForest(iterations=6), workers=2,
+                          granularity=granularity).run()
+    bound = 100 + 200 * granularity
+    message = str(excinfo.value)
+    assert f"no progress in {bound} consecutive rounds" in message
+    assert "carried iterations: [0" in message
+
+
+def test_the_bound_counts_rounds_without_progress_not_all_rounds():
+    class StallsThenCommits:
+        """Each iteration retries ``stall`` times, then commits."""
+
+        def __init__(self, stall):
+            self.stall = stall
+            self.tries = {}
+
+        def reserve(self, ctx, iteration):
+            self.tries[iteration] = self.tries.get(iteration, 0) + 1
+            return TRY_AGAIN if self.tries[iteration] <= self.stall else TRY_COMMIT
+
+        def commit(self, ctx, iteration):
+            ctx.write(iteration * 8, iteration + 1)
+            return True
+
+    bound = 100 + 200 * 1
+    master, stats = speculative_for(
+        StallsThenCommits(bound - 1), 3, slots=1, granularity=1
+    )
+    assert stats.committed == 3 and stats.num_rounds > bound
+    assert [master.read(i * 8) for i in range(3)] == [1, 2, 3]
+
+
 # -- plan validation ----------------------------------------------------------------
 
 
