@@ -10,8 +10,7 @@ three views ``repro campaign report``/``diff`` print:
   the paper's Figure 4 panels);
 * **recovery-latency distributions** — min/median/p90/max over every
   node-failure recovery episode in the sweep, plus lost-work and
-  promotion totals (the resilience view ``repro chaos --seed-sweep``
-  prints for one scenario, aggregated over hundreds);
+  promotion totals;
 * **digest regression diffs** — scenarios whose outcome digest moved
   between two stored campaigns (same scenario digest, different
   behavior).

@@ -24,8 +24,11 @@ run | report | diff | list``.
 from repro.campaign.runner import (
     RECORD_SCHEMA,
     ScenarioResult,
+    build_scenario,
     run_campaign,
+    run_reference,
     run_scenario,
+    sequential_seconds,
 )
 from repro.campaign.schema import (
     CampaignSpec,
@@ -47,6 +50,9 @@ __all__ = [
     "loads_campaign",
     "scenario_digest",
     "ScenarioResult",
+    "build_scenario",
+    "run_reference",
+    "sequential_seconds",
     "run_scenario",
     "run_campaign",
     "RECORD_SCHEMA",

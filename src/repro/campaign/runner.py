@@ -29,7 +29,8 @@ from typing import Callable, Optional, Sequence
 
 from repro.campaign.schema import ScenarioSpec
 
-__all__ = ["ScenarioResult", "run_scenario", "run_campaign", "RECORD_SCHEMA"]
+__all__ = ["ScenarioResult", "build_scenario", "run_reference",
+           "sequential_seconds", "run_scenario", "run_campaign", "RECORD_SCHEMA"]
 
 #: Schema version of the result record.
 RECORD_SCHEMA = 1
@@ -136,7 +137,7 @@ def _workload_kwargs(spec: ScenarioSpec) -> dict:
 
 
 def _build_system(spec: ScenarioSpec, config):
-    """A fresh (system, workload) pair for ``spec`` under ``config``."""
+    """A fresh system for ``spec`` under ``config``."""
     from repro.core import DSMTXSystem
     from repro.workloads import ALL_BENCHMARKS
 
@@ -149,13 +150,10 @@ def _build_system(spec: ScenarioSpec, config):
     if spec.scheme == "specfor":
         from repro.paradigms import SpecForSystem
 
-        # Every core beyond the reservation-commit service (and the
-        # optional hot standby) is a worker.
-        workers = spec.cores - 1 - (1 if spec.commit_replication else 0)
-        return SpecForSystem(workload, config, workers=workers), workload
+        return SpecForSystem(workload, config, workers=spec.specfor_workers)
     plan = (workload.dsmtx_plan() if spec.scheme == "dsmtx"
             else workload.tls_plan())
-    return DSMTXSystem(plan, config), workload
+    return DSMTXSystem(plan, config)
 
 
 def _system_config(spec: ScenarioSpec):
@@ -172,6 +170,66 @@ def _system_config(spec: ScenarioSpec):
     if spec.batch_bytes is not None:
         kwargs["batch_bytes"] = spec.batch_bytes
     return SystemConfig(**kwargs)
+
+
+def build_scenario(spec: ScenarioSpec, config=None):
+    """The system ``spec`` describes, with its fault plan attached.
+
+    Returns ``(system, engine, config)``: ``config`` defaults to the
+    spec's own :class:`~repro.core.SystemConfig`, and ``engine`` is the
+    attached :class:`~repro.chaos.ChaosEngine`, or ``None`` when the
+    spec schedules no fault (a fault-free run carries no engine, so its
+    digest holds no chaos summary).  ``crash_commit`` and
+    ``crash_worker`` resolve against the built system's placement.
+    """
+    if config is None:
+        config = _system_config(spec)
+    system = _build_system(spec, config)
+    worker_nodes = None
+    if spec.scheme == "specfor":
+        worker_nodes = tuple(
+            system.node_of(tid) for tid in range(system.num_workers))
+    fault_plan = spec.faults.build_plan(
+        spec.seed,
+        commit_node=system.node_of(system.commit_tid),
+        worker_nodes=worker_nodes,
+    )
+    engine = None
+    if fault_plan is not None:
+        from repro.chaos import ChaosEngine
+
+        engine = ChaosEngine(fault_plan).attach(system.env)
+    return system, engine, config
+
+
+def run_reference(spec: ScenarioSpec, config):
+    """Run the fault-free reference of ``spec`` and return its system.
+
+    The reference must be layout-identical to the faulted run, whose
+    ``config`` is given: a commit standby reserves a unit slot, so
+    replication stays on; plain fault tolerance adds no units and is
+    dropped for speed.  Integrity adds no units either, and
+    :class:`~repro.core.SystemConfig` rejects it without fault
+    tolerance, so it follows the same switch.
+    """
+    ref_config = replace(
+        config,
+        fault_tolerance=spec.commit_replication,
+        commit_replication=spec.commit_replication,
+        integrity=spec.integrity and spec.commit_replication,
+    )
+    system = _build_system(spec, ref_config)
+    system.run()
+    return system
+
+
+def sequential_seconds(spec: ScenarioSpec, config) -> float:
+    """Single-core sequential time of ``spec``'s workload (the speedup
+    base), built without the spec's injected misspeculations."""
+    from repro.workloads import ALL_BENCHMARKS
+
+    workload = ALL_BENCHMARKS[spec.benchmark](**_workload_kwargs(spec))
+    return workload.sequential_seconds(config)
 
 
 def _trace_path(trace_dir: Path, spec: ScenarioSpec) -> Path:
@@ -216,23 +274,7 @@ def _execute(spec: ScenarioSpec, result: ScenarioResult,
              trace_dir: Optional[Path]) -> None:
     from repro.analysis import run_digest
 
-    config = _system_config(spec)
-    system, workload = _build_system(spec, config)
-
-    engine = None
-    worker_nodes = None
-    if spec.scheme == "specfor":
-        worker_nodes = tuple(
-            system.node_of(tid) for tid in range(system.num_workers))
-    fault_plan = spec.faults.build_plan(
-        spec.seed,
-        commit_node=system.node_of(system.commit_tid),
-        worker_nodes=worker_nodes,
-    )
-    if fault_plan is not None:
-        from repro.chaos import ChaosEngine
-
-        engine = ChaosEngine(fault_plan).attach(system.env)
+    system, engine, config = build_scenario(spec)
 
     hub = None
     if spec.trace and trace_dir is not None:
@@ -270,10 +312,7 @@ def _execute(spec: ScenarioSpec, result: ScenarioResult,
     result.specfor_reservation_failures = stats.specfor_reservation_failures
     result.specfor_carried = stats.specfor_carried
 
-    from repro.workloads import ALL_BENCHMARKS
-
-    sequential = ALL_BENCHMARKS[spec.benchmark](**_workload_kwargs(spec))
-    result.sequential_seconds = sequential.sequential_seconds(config)
+    result.sequential_seconds = sequential_seconds(spec, config)
     if stats.elapsed_seconds > 0:
         result.speedup = result.sequential_seconds / stats.elapsed_seconds
 
@@ -303,25 +342,14 @@ def _check_expectations(spec: ScenarioSpec, result: ScenarioResult,
     if expect.matches_reference:
         from repro.analysis import memory_fingerprint
 
-        # The fault-free reference must be layout-identical: a commit
-        # standby reserves a unit slot, so replication stays on; plain
-        # fault tolerance adds no units and is dropped for speed.
-        # Integrity adds no units either, and SystemConfig rejects it
-        # without fault_tolerance, so it follows the same switch.
-        ref_config = replace(
-            config,
-            fault_tolerance=spec.commit_replication,
-            commit_replication=spec.commit_replication,
-            integrity=spec.integrity and spec.commit_replication,
-        )
-        ref_system, _ = _build_system(spec, ref_config)
-        ref_stats = ref_system.run().stats
-        if result.committed_mtxs != ref_stats.committed_mtxs:
+        reference = run_reference(spec, config)
+        ref_mtxs = reference.stats.committed_mtxs
+        if result.committed_mtxs != ref_mtxs:
             result.failures.append(
                 f"reference: committed {result.committed_mtxs} MTXs, "
-                f"fault-free run committed {ref_stats.committed_mtxs}")
+                f"fault-free run committed {ref_mtxs}")
         elif (memory_fingerprint(system.commit.master)
-                != memory_fingerprint(ref_system.commit.master)):
+                != memory_fingerprint(reference.commit.master)):
             result.failures.append(
                 "reference: committed memory differs from the fault-free run")
 

@@ -531,19 +531,15 @@ class ScenarioSpec:
                            "COA read replicas belong to the DSMTX runtime; "
                            "scheme 'specfor' ships snapshots to every "
                            "worker instead")
-            if spec.faults.crash_worker >= 0:
-                # Worker count mirrors the runner's split: one core for
-                # the reservation service, one more for the standby.
-                workers = spec.cores - 1 - (1 if spec.commit_replication else 0)
-                if spec.faults.crash_worker >= workers:
-                    raise _err(
-                        f"{path}.faults.crash_worker",
-                        f"worker {spec.faults.crash_worker} does not exist: "
-                        f"{spec.cores} cores run {workers} workers under "
-                        f"scheme 'specfor'"
-                        + (" with a replicated standby"
-                           if spec.commit_replication else ""),
-                    )
+            if spec.faults.crash_worker >= spec.specfor_workers:
+                raise _err(
+                    f"{path}.faults.crash_worker",
+                    f"worker {spec.faults.crash_worker} does not exist: "
+                    f"{spec.cores} cores run {spec.specfor_workers} workers "
+                    f"under scheme 'specfor'"
+                    + (" with a replicated standby"
+                       if spec.commit_replication else ""),
+                )
         elif spec.faults.crash_worker >= 0:
             raise _err(f"{path}.faults.crash_worker",
                        f"crash_worker names a speculative_for worker and "
@@ -598,6 +594,12 @@ class ScenarioSpec:
         plan = (workload.dsmtx_plan() if self.scheme == "dsmtx"
                 else workload.tls_plan())
         return plan.min_cores
+
+    @property
+    def specfor_workers(self) -> int:
+        """Workers of a ``specfor`` run: every core beyond the
+        reservation-commit service and the optional hot standby."""
+        return self.cores - 1 - (1 if self.commit_replication else 0)
 
     def resolved_misspec_iterations(self, iterations: int) -> Optional[set]:
         """Explicit misspeculating iterations plus the ``misspec_every``

@@ -33,7 +33,7 @@ from repro.analysis import (
     render_table,
     render_timeline,
 )
-from repro.core import DSMTXSystem, SystemConfig
+from repro.errors import CampaignError
 from repro.obs import instrument, write_chrome_trace, write_trace_csv
 from repro.workloads import (
     ALL_BENCHMARKS,
@@ -79,43 +79,39 @@ def cmd_run(args) -> int:
     """Run one benchmark at one core count under every applicable scheme
     (DSMTX and TLS always; speculative_for when the workload declares a
     write_min reservation site)."""
-    factory = _factory(args.benchmark)
-    kwargs = {}
-    if args.density is not None:
-        from repro.workloads import IRREGULAR
+    from repro.campaign import ScenarioSpec, build_scenario, sequential_seconds
+    from repro.workloads import reservation_benchmarks
 
-        if args.benchmark not in IRREGULAR:
-            raise SystemExit(
-                f"--density only applies to the irregular workloads "
-                f"({', '.join(sorted(IRREGULAR))}), not {args.benchmark!r}")
-        kwargs["density"] = args.density
-    config = SystemConfig(total_cores=args.cores, coa_replicas=args.replicas)
-    sequential = factory(**kwargs).sequential_seconds(config)
-    print(f"{args.benchmark} on {args.cores} cores "
-          f"(sequential: {sequential * 1e3:.2f} ms simulated)")
-    for scheme in ("dsmtx", "tls"):
-        workload = factory(**kwargs)
-        plan = workload.dsmtx_plan() if scheme == "dsmtx" else workload.tls_plan()
-        system = DSMTXSystem(plan, config)
+    _factory(args.benchmark)  # an unknown name exits with the registry hint
+    fields = {"benchmark": args.benchmark, "cores": args.cores,
+              "density": args.density}
+    specs = [ScenarioSpec.from_dict(
+        {**fields, "scheme": scheme, "coa_replicas": args.replicas})
+        for scheme in ("dsmtx", "tls")]
+    if args.benchmark in reservation_benchmarks():
+        # COA read replicas belong to the DSMTX runtime.
+        specs.append(ScenarioSpec.from_dict({**fields, "scheme": "specfor"}))
+    sequential = None
+    for spec in specs:
+        system, _engine, config = build_scenario(spec)
+        if sequential is None:
+            sequential = sequential_seconds(spec, config)
+            print(f"{args.benchmark} on {args.cores} cores "
+                  f"(sequential: {sequential * 1e3:.2f} ms simulated)")
         result = system.run()
         stats = result.stats
-        print(f"  {plan.label:<24} {result.elapsed_seconds * 1e3:9.2f} ms  "
-              f"{sequential / result.elapsed_seconds:6.1f}x   "
-              f"[{stats.committed_mtxs} MTXs, "
-              f"{stats.queue_bytes / 1e6:.1f} MB moved, "
-              f"{stats.coa_pages_served} COA pages]")
-    workload = factory(**kwargs)
-    if workload.reservation_site() is not None:
-        from repro.paradigms import SpecForSystem
-
-        system = SpecForSystem(workload, config, workers=args.cores - 1)
-        result = system.run()
-        stats = result.stats
-        print(f"  {'speculative_for':<24} {result.elapsed_seconds * 1e3:9.2f} ms  "
-              f"{sequential / result.elapsed_seconds:6.1f}x   "
-              f"[{stats.specfor_rounds} rounds, "
-              f"{stats.specfor_reservation_failures} reservation losses, "
-              f"{stats.specfor_carried} carried]")
+        if spec.scheme == "specfor":
+            label = "speculative_for"
+            detail = (f"{stats.specfor_rounds} rounds, "
+                      f"{stats.specfor_reservation_failures} reservation "
+                      f"losses, {stats.specfor_carried} carried")
+        else:
+            label = system.workload.label
+            detail = (f"{stats.committed_mtxs} MTXs, "
+                      f"{stats.queue_bytes / 1e6:.1f} MB moved, "
+                      f"{stats.coa_pages_served} COA pages")
+        print(f"  {label:<24} {result.elapsed_seconds * 1e3:9.2f} ms  "
+              f"{sequential / result.elapsed_seconds:6.1f}x   [{detail}]")
     return 0
 
 
@@ -169,19 +165,18 @@ def cmd_bandwidth(_args) -> int:
 
 def cmd_trace(args) -> int:
     """Run one benchmark instrumented and export a Perfetto trace."""
+    from repro.campaign import ScenarioSpec, build_scenario
+
     factory = _factory(args.benchmark)
-    kwargs = {}
-    if args.iterations is not None:
-        kwargs["iterations"] = args.iterations
-    iterations = factory(**kwargs).iterations
+    fields = {"benchmark": args.benchmark, "scheme": args.scheme,
+              "cores": args.cores, "iterations": args.iterations}
     if not args.no_misspec:
         # Inject one deterministic misspeculation mid-run so the trace
         # exercises the recovery categories (drain/ERM/FLQ/SEQ).
-        kwargs["misspec_iterations"] = {iterations // 2}
-    workload = factory(**kwargs)
-    plan = (workload.dsmtx_plan() if args.scheme == "dsmtx"
-            else workload.tls_plan())
-    system = DSMTXSystem(plan, SystemConfig(total_cores=args.cores))
+        iterations = args.iterations or factory().iterations
+        fields["misspec_iterations"] = [iterations // 2]
+    system, _engine, _config = build_scenario(ScenarioSpec.from_dict(fields))
+    label = system.workload.label
     hub = instrument(system)
     result = system.run()
     hub.finalize(system)
@@ -190,7 +185,7 @@ def cmd_trace(args) -> int:
     metadata = {
         "benchmark": args.benchmark,
         "scheme": args.scheme,
-        "plan": plan.label,
+        "plan": label,
         "cores": args.cores,
         "metrics": hub.metrics.snapshot(),
     }
@@ -200,7 +195,7 @@ def cmd_trace(args) -> int:
 
     stats = result.stats
     elapsed_us = stats.elapsed_seconds * 1e6
-    print(f"{args.benchmark} ({plan.label}) on {args.cores} cores: "
+    print(f"{args.benchmark} ({label}) on {args.cores} cores: "
           f"{stats.elapsed_seconds * 1e3:.2f} ms simulated, "
           f"{stats.committed_mtxs} MTXs, "
           f"{stats.misspeculations} misspeculation(s)")
@@ -218,179 +213,65 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _chaos_build(args, factory, kwargs, fault_tolerance):
-    """One system under the chaos command's configuration.
-
-    ``--replicate-commit`` implies fault tolerance even for the
-    reference run: workload addresses derive from the unit layout (the
-    standby reserves a unit slot), so the fault-free reference must be
-    layout-identical to be byte-comparable.
-    """
-    workload = factory(**kwargs)
-    integrity = getattr(args, "integrity", False)
-    config_kwargs = dict(
-        total_cores=args.cores,
-        fault_tolerance=fault_tolerance or args.replicate_commit or integrity,
-        commit_replication=args.replicate_commit,
-        placement=args.placement,
-        integrity=integrity,
-    )
-    if args.batch_bytes:
-        config_kwargs["batch_bytes"] = args.batch_bytes
-    if getattr(args, "scheme", "dsmtx") == "specfor":
-        from repro.paradigms import SpecForSystem
-
-        workers = args.cores - 1 - (1 if args.replicate_commit else 0)
-        return SpecForSystem(workload, SystemConfig(**config_kwargs),
-                             workers=workers)
-    return DSMTXSystem(workload.dsmtx_plan(), SystemConfig(**config_kwargs))
-
-
-def _chaos_plan(args, system, seed, crash_at_s):
-    """The fault plan for one chaos run, resolved against ``system``
-    (``--crash-commit`` targets whatever node hosts the commit unit)."""
-    from repro.chaos import (
-        FaultPlan,
-        LinkDegrade,
-        MessageCorruption,
-        MessageDuplication,
-        MessageLoss,
-        NodeCrash,
-    )
-
-    faults = []
-    crash_node = args.crash_node
-    if args.crash_commit:
-        crash_node = system.node_of(system.commit_tid)
-    if crash_node >= 0:
-        faults.append(NodeCrash(node=crash_node, at_s=crash_at_s))
-    if args.degrade:
-        faults.append(LinkDegrade(at_s=0.0, duration_s=1.0,
-                                  latency_factor=args.degrade,
-                                  bandwidth_factor=args.degrade))
-    if args.drop:
-        faults.append(MessageLoss(probability=args.drop))
-    if args.dup:
-        faults.append(MessageDuplication(probability=args.dup))
-    if getattr(args, "corruption", 0.0):
-        faults.append(MessageCorruption(probability=args.corruption))
-    return FaultPlan(faults=tuple(faults), seed=seed)
-
-
-def _chaos_seed_sweep(args, factory, kwargs, reference) -> int:
-    """``--seed-sweep N``: N seeded chaos runs with staggered crash
-    times; aggregate the recovery-latency and lost-work distributions
-    and check every run against the fault-free reference."""
-    from repro.analysis.resilience import memory_fingerprint
-    from repro.chaos import ChaosEngine
-
-    ref_fingerprint = memory_fingerprint(reference.commit.master)
-    ref_stats = reference.stats
-    base_at = args.crash_at * 1e-3
-    n = args.seed_sweep
-    recoveries, losses, promotions, failed = [], [], 0, []
-    for index in range(n):
-        seed = args.seed + index
-        # Stagger the crash across the middle of the run so the sweep
-        # samples different frontiers, not one instant N times.
-        crash_at_s = base_at * (0.4 + 0.4 * index / max(1, n - 1))
-        system = _chaos_build(args, factory, kwargs, fault_tolerance=True)
-        plan = _chaos_plan(args, system, seed, crash_at_s)
-        ChaosEngine(plan).attach(system.env)
-        result = system.run()
-        ok = (
-            result.stats.committed_mtxs == ref_stats.committed_mtxs
-            and memory_fingerprint(system.commit.master) == ref_fingerprint
-        )
-        if not ok:
-            failed.append(seed)
-        for record in result.stats.failures:
-            recoveries.append(record.recovery_seconds)
-            losses.append(record.lost_iterations)
-            if record.promoted_tid >= 0:
-                promotions += 1
-        status = "ok" if ok else "MISMATCH"
-        print(f"seed {seed}: crash at {crash_at_s * 1e3:.3f} ms, "
-              f"{result.stats.committed_mtxs} MTXs, {status}")
-
-    def spread(values, scale, unit):
-        if not values:
-            return "n/a"
-        ordered = sorted(values)
-        return (f"min {ordered[0] * scale:g}{unit}, "
-                f"median {ordered[len(ordered) // 2] * scale:g}{unit}, "
-                f"max {ordered[-1] * scale:g}{unit}")
-
-    print()
-    print(f"{n} seeds, {len(recoveries)} failover(s), "
-          f"{promotions} standby promotion(s)")
-    print(f"recovery latency: {spread(recoveries, 1e6, ' us')}")
-    print(f"lost iterations:  {spread(losses, 1, '')}")
-    if failed:
-        print(f"FAILED seeds (results differ from fault-free run): {failed}",
-              file=sys.stderr)
-        return 1
-    print("all seeds reproduced the fault-free results")
-    return 0
-
-
 def cmd_chaos(args) -> int:
     """Run one benchmark under a seeded fault plan and prove recovery.
 
-    Executes a fault-free reference run, then the same workload in
-    fault-tolerant mode under the plan, and checks the chaotic run
-    committed the same results (docs/RESILIENCE.md).  ``--digest-only``
-    prints nothing but the outcome digest — run it twice and compare to
+    The flags become a scenario (docs/CAMPAIGNS.md), validated and built
+    by the campaign runner: the same workload runs fault-tolerant under
+    the plan, then the runner's fault-free reference, and the command
+    checks that the chaotic run committed the same results
+    (docs/RESILIENCE.md).  ``--digest-only`` prints nothing but the
+    outcome digest and skips the reference — run it twice and compare to
     verify byte-determinism (the CI chaos-smoke job does exactly this).
-    ``--seed-sweep N`` repeats the scenario across N seeds with
-    staggered crash times and aggregates the recovery distributions.
     """
     from repro.analysis import render_resilience_report, run_digest
     from repro.analysis.resilience import memory_fingerprint
-    from repro.chaos import ChaosEngine
+    from repro.campaign import ScenarioSpec, build_scenario, run_reference
 
-    factory = _factory(args.benchmark)
-    kwargs = {}
-    if args.iterations is not None:
-        kwargs["iterations"] = args.iterations
-    if getattr(args, "density", None) is not None:
-        from repro.workloads import IRREGULAR
-
-        if args.benchmark not in IRREGULAR:
-            print(f"--density applies to the irregular workloads only "
-                  f"({', '.join(sorted(IRREGULAR))}), not {args.benchmark!r}",
-                  file=sys.stderr)
-            return 2
-        kwargs["density"] = args.density
-
-    reference = _chaos_build(args, factory, kwargs, fault_tolerance=False)
-    ref_result = reference.run()
-
-    if args.seed_sweep:
-        return _chaos_seed_sweep(args, factory, kwargs, reference)
-
-    system = _chaos_build(args, factory, kwargs, fault_tolerance=True)
-    plan = _chaos_plan(args, system, args.seed, args.crash_at * 1e-3)
-    engine = ChaosEngine(plan).attach(system.env)
-    result = system.run()
-
-    digest = run_digest(result.stats, master=system.commit.master, chaos=engine)
+    spec = ScenarioSpec.from_dict({
+        "benchmark": args.benchmark,
+        "scheme": args.scheme,
+        "cores": args.cores,
+        "iterations": args.iterations,
+        "density": args.density,
+        "seed": args.seed,
+        "batch_bytes": args.batch_bytes or None,
+        "placement": args.placement,
+        "fault_tolerance": True,
+        "commit_replication": args.replicate_commit,
+        "integrity": args.integrity,
+        "faults": {
+            "crash_node": -1 if args.crash_commit else args.crash_node,
+            "crash_commit": args.crash_commit,
+            "crash_at_ms": args.crash_at,
+            "drop": args.drop,
+            "dup": args.dup,
+            "corruption": args.corruption,
+            "degrade": args.degrade,
+        },
+    })
+    system, engine, config = build_scenario(spec)
+    stats = system.run().stats
+    digest = run_digest(stats, master=system.commit.master, chaos=engine)
     if args.digest_only:
         print(digest)
         return 0
 
+    reference = run_reference(spec, config)
+    plan = engine.plan.describe() if engine is not None else "fault-free"
     print(f"{args.benchmark} on {args.cores} cores, fault plan (seed {args.seed}):")
-    print("  " + plan.describe().replace("\n", "\n  "))
+    print("  " + plan.replace("\n", "\n  "))
     print()
-    print(render_resilience_report(result.stats, chaos=engine,
-                                   reference=ref_result.stats))
+    print(render_resilience_report(stats, chaos=engine,
+                                   reference=reference.stats))
     print()
     same_memory = (memory_fingerprint(system.commit.master)
                    == memory_fingerprint(reference.commit.master))
-    same_count = result.stats.committed_mtxs == ref_result.stats.committed_mtxs
+    same_count = stats.committed_mtxs == reference.stats.committed_mtxs
     print(f"committed memory matches fault-free run: {same_memory}")
     print(f"committed MTX count matches: {same_count} "
-          f"({result.stats.committed_mtxs})")
+          f"({stats.committed_mtxs})")
+    print(f"scenario digest: {spec.digest()}")
     print(f"outcome digest: {digest}")
     if not (same_memory and same_count):
         print("FAILED: the chaotic run did not reproduce the fault-free "
@@ -405,44 +286,39 @@ def cmd_scrub(args) -> int:
     page-digest audit detected, repaired (from the standby's replicated
     copy), or had to declare unrepairable.
     """
+    from dataclasses import replace
+
     from repro.analysis.resilience import memory_fingerprint
+    from repro.campaign import ScenarioSpec, build_scenario, run_reference
     from repro.chaos import ChaosEngine, FaultPlan, StateCorruption
 
-    factory = _factory(args.benchmark)
-    kwargs = {}
-    if args.iterations is not None:
-        kwargs["iterations"] = args.iterations
-
-    def build(interval_s=None):
-        config_kwargs = dict(
-            total_cores=args.cores,
-            fault_tolerance=True,
-            commit_replication=True,
-            placement="spread",
-            integrity=True,
-        )
-        if interval_s is not None:
-            config_kwargs["scrub_interval_s"] = interval_s
-        return DSMTXSystem(factory(**kwargs).dsmtx_plan(),
-                           SystemConfig(**config_kwargs))
-
+    spec = ScenarioSpec.from_dict({
+        "benchmark": args.benchmark,
+        "cores": args.cores,
+        "iterations": args.iterations,
+        "seed": args.seed,
+        "placement": "spread",
+        "fault_tolerance": True,
+        "commit_replication": True,
+        "integrity": True,
+    })
     # Probe run: sizes the scrub interval to the workload so sweeps
     # actually happen inside these microsecond-scale simulated runs.
-    probe_elapsed = build().run().elapsed_seconds
+    probe, _engine, config = build_scenario(spec)
+    probe_elapsed = probe.run().elapsed_seconds
     interval_s = (args.interval * 1e-3 if args.interval
                   else probe_elapsed / 16)
-    reference = build(interval_s)
-    ref_result = reference.run()
+    config = replace(config, scrub_interval_s=interval_s)
+    reference = run_reference(spec, config)
     at_s = (args.corrupt_at * 1e-3 if args.corrupt_at is not None
-            else 0.5 * ref_result.elapsed_seconds)
+            else 0.5 * reference.stats.elapsed_seconds)
     plan = FaultPlan(
         faults=(StateCorruption("memory", at_s=at_s, words=args.words),),
         seed=args.seed,
     )
-    system = build(interval_s)
+    system, _engine, _config = build_scenario(spec, config)
     engine = ChaosEngine(plan).attach(system.env)
-    result = system.run()
-    stats = result.stats
+    stats = system.run().stats
 
     flipped = sum(words for _t, _at, words in engine.state_corruption_log)
     print(f"{args.benchmark} on {args.cores} cores, integrity on, "
@@ -558,21 +434,13 @@ def _campaign_list(args) -> int:
 
 def cmd_campaign(args) -> int:
     """Run declarative scenario campaigns (docs/CAMPAIGNS.md)."""
-    from repro.errors import CampaignError
-
     handlers = {
         "run": _campaign_run,
         "report": _campaign_report,
         "diff": _campaign_diff,
         "list": _campaign_list,
     }
-    try:
-        return handlers[args.campaign_command](args)
-    except CampaignError as exc:
-        # Validation and store errors already carry the document path
-        # and field; show them as a one-line diagnosis, not a traceback.
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return 2
+    return handlers[args.campaign_command](args)
 
 
 def _core_list(text: str) -> list[int]:
@@ -661,10 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="unit-to-node placement; spread isolates each "
                             "unit on its own node so single-node crashes "
                             "take out exactly one unit")
-    chaos.add_argument("--seed-sweep", type=int, default=0, metavar="N",
-                       help="run the scenario across N seeds with staggered "
-                            "crash times; aggregate recovery latency and "
-                            "lost-work distributions")
     chaos.add_argument("--crash-at", type=float, default=5.0,
                        help="crash time in simulated milliseconds")
     chaos.add_argument("--drop", type=float, default=0.0,
@@ -777,7 +641,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "scrub": cmd_scrub,
         "campaign": cmd_campaign,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except CampaignError as exc:
+        # Scenario, campaign-document and store errors already carry the
+        # field's path; show them as a one-line diagnosis, not a
+        # traceback.
+        print(f"{args.command} error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - module CLI entry

@@ -26,6 +26,14 @@ from operator import attrgetter
 from typing import Any, Generator
 
 from repro.core.context import MasterContext
+from repro.core.integrity import (
+    CHECKSUM_BYTES,
+    DIGEST_MASK,
+    empty_page_digest,
+    page_digest,
+    space_digest,
+    word_digest,
+)
 from repro.core.messages import (
     CTL_COA_REQUEST,
     CTL_COA_RESPONSE,
@@ -46,9 +54,11 @@ from repro.core.stats import CheckpointRecord, FailureRecord, RecoveryRecord
 from repro.errors import NodeCrashed, ProcessInterrupt, RecoveryError
 from repro.memory import AddressSpace, Page, page_number
 from repro.memory.layout import PAGE_MASK, PAGE_SHIFT, WORD_SHIFT
+from repro.memory.page import ZERO_WORDS
 from repro.obs.tracer import (
     CAT_COMMIT,
     CAT_FT_CHECKPOINT,
+    CAT_INTEGRITY,
     CAT_PAGE_FAULT,
     CAT_RECOVERY_DRAIN,
     CAT_RECOVERY_ERM,
@@ -219,8 +229,13 @@ class CommitUnit:
             page = Page(page_no)
             if self._served_pages is not None:
                 self._served_pages.add(page_no)
-        elif word_index is None:
-            page = page.snapshot()  # shares the committed frozen array
+        else:
+            if self._integrity:
+                # COA serves committed state: a flip the next sweep
+                # would find is repaired before a worker computes on it.
+                self._audit_page(page)
+            if word_index is None:
+                page = page.snapshot()  # shares the committed frozen array
         if word_index is None:
             self.system.stats.coa_pages_served += 1
             self.system.stats.record_queue_bytes("coa", self.system.cluster.page_bytes)
@@ -319,11 +334,6 @@ class CommitUnit:
                     # End-to-end checkpoint digest: the standby folds
                     # its replay log at this marker and verifies the
                     # result against the primary's master digest.
-                    from repro.core.integrity import (
-                        CHECKSUM_BYTES,
-                        space_digest,
-                    )
-
                     yield from repl.produce(
                         (
                             REPL_CHECKPOINT,
@@ -437,8 +447,6 @@ class CommitUnit:
         the write, and a flip in a word it does not overwrite stays a
         mismatch for the scrubber instead of being digested into the
         table."""
-        from repro.core.integrity import DIGEST_MASK, empty_page_digest, word_digest
-
         pages = self._page_digests
         words = self._word_digests
         for address, value in writes:
@@ -480,14 +488,10 @@ class CommitUnit:
 
         Returns the number of corrupted pages found this sweep.
         """
-        from repro.core.integrity import empty_page_digest, page_digest
-        from repro.memory.page import ZERO_WORDS
-
         system = self.system
         stats = system.stats
         table = self._page_digests
         stats.ft_scrub_rounds += 1
-        obs = system.obs
         found = 0
         audited_words = 0
         pages = self.master.pages
@@ -498,35 +502,10 @@ class CommitUnit:
         ]
         to_digest.sort(key=attrgetter("number"))
         for page in to_digest:
-            number = page.number
-            if page.words is ZERO_WORDS:
-                actual = empty_page_digest(number)
-            else:
+            if page.words is not ZERO_WORDS:
                 audited_words += page.present_mask.bit_count()
-                actual = page_digest(page)
-            expected = table.get(number)
-            if expected is None:
-                expected = empty_page_digest(number)
-            if actual == expected:
-                continue
-            found += 1
-            stats.ft_corruptions_detected += 1
-            repaired = self._repair_page(page, expected)
-            if repaired:
-                stats.ft_corruptions_repaired += 1
-            else:
-                stats.ft_corruptions_unrepairable += 1
-            if obs is not None:
-                from repro.obs.tracer import CAT_INTEGRITY, PID_RUNTIME
-
-                obs.tracer.instant(
-                    CAT_INTEGRITY, "scrub_corruption", PID_RUNTIME, self.tid,
-                    page=number, repaired=repaired,
-                )
-                obs.metrics.counter(
-                    "integrity.scrub_repaired" if repaired
-                    else "integrity.scrub_unrepairable"
-                ).inc()
+            if self._audit_page(page):
+                found += 1
         # Count master's pages and the never-written pages served from
         # outside it, each once: drop the served pages master has since
         # gained.
@@ -537,6 +516,46 @@ class CommitUnit:
             audited_words * system.config.checkpoint_word_instructions
         )
         return found
+
+    def _audit_page(self, page) -> bool:
+        """Audit one master page against the digest table.
+
+        On a mismatch, count the corruption, repair the page from the
+        standby's copy when :meth:`_repair_page` can, and trace the
+        outcome.  Returns True when the page was corrupted.  The
+        comparison charges no simulated time (a repair is priced by
+        :meth:`_repair_page`): :meth:`scrub_once` prices its sweep per
+        audited word, and a COA serve (:meth:`_serve_coa`) audits for
+        free.
+        """
+        number = page.number
+        if page.words is ZERO_WORDS:
+            actual = empty_page_digest(number)
+        else:
+            actual = page_digest(page)
+        expected = self._page_digests.get(number)
+        if expected is None:
+            expected = empty_page_digest(number)
+        if actual == expected:
+            return False
+        stats = self.system.stats
+        stats.ft_corruptions_detected += 1
+        repaired = self._repair_page(page, expected)
+        if repaired:
+            stats.ft_corruptions_repaired += 1
+        else:
+            stats.ft_corruptions_unrepairable += 1
+        obs = self.system.obs
+        if obs is not None:
+            obs.tracer.instant(
+                CAT_INTEGRITY, "scrub_corruption", PID_RUNTIME, self.tid,
+                page=number, repaired=repaired,
+            )
+            obs.metrics.counter(
+                "integrity.scrub_repaired" if repaired
+                else "integrity.scrub_unrepairable"
+            ).inc()
+        return True
 
     def _repair_page(self, page, expected: int) -> bool:
         """Restore a corrupted master page from the standby's copy.
@@ -549,7 +568,6 @@ class CommitUnit:
         would be a second corruption.  An installed copy holds exactly
         the content the table records, so the table stays as it is.
         """
-        from repro.core.integrity import page_digest
         from repro.memory import word_index
 
         system = self.system

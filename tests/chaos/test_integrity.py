@@ -437,6 +437,33 @@ def test_scrubber_catches_a_flip_that_shares_a_page_with_a_later_commit(capsys):
     assert status == 0
 
 
+def test_a_flipped_master_page_is_audited_before_it_is_coa_served():
+    # crc32, 96 iterations on 8 spread cores: four committed words flip
+    # at 7.35 ms (plan seed 2), and a worker faults on a flipped page
+    # before the next sweep reaches it.  COA serves committed state, so
+    # the commit unit audits the page and repairs it first.  Serving the
+    # page unaudited let the worker compute from a flipped word: the
+    # sweeps still found and repaired all four pages, and a wrong image
+    # committed.
+    config = SystemConfig(total_cores=8, fault_tolerance=True,
+                          commit_replication=True, placement="spread",
+                          integrity=True)
+    reference = DSMTXSystem(Crc32(iterations=ITERATIONS).dsmtx_plan(), config)
+    reference.run()
+    system = DSMTXSystem(Crc32(iterations=ITERATIONS).dsmtx_plan(), config)
+    plan = FaultPlan(
+        faults=(StateCorruption("memory", at_s=7.35e-3, words=4),), seed=2)
+    engine = ChaosEngine(plan).attach(system.env)
+    stats = system.run().stats
+    assert engine.state_corruption_log == [("memory", 7.35e-3, 4)]
+    assert stats.ft_corruptions_detected == 4
+    assert stats.ft_corruptions_repaired == 4
+    assert stats.ft_corruptions_unrepairable == 0
+    assert stats.committed_mtxs == ITERATIONS
+    assert (memory_fingerprint(system.commit.master)
+            == memory_fingerprint(reference.commit.master))
+
+
 #: Twelve words on three pages, for commit groups that repeat addresses.
 TABLE_ADDRESSES = tuple(
     page * 4096 + index * 8 for page in (2, 3, 5) for index in (0, 1, 7, 511))

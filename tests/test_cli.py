@@ -146,3 +146,36 @@ def test_campaign_rejects_invalid_file(tmp_path, capsys):
     assert main(["campaign", "run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "benchmark" in err
+
+
+def test_chaos_flags_are_validated_as_scenario_fields(capsys):
+    # The flags become a scenario, so the schema's diagnosis (the field
+    # and a fix) is the command's, with the campaign exit status.
+    assert main(["chaos", "--corruption", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chaos error: ")
+    assert "faults.corruption" in err and "0.999" in err
+
+
+def test_chaos_run_replays_as_a_campaign(tmp_path, capsys):
+    # The documented flag-to-field map (docs/CAMPAIGNS.md) gives the
+    # scenario the command printed, and the campaign runner stores the
+    # outcome digest the command printed.
+    from repro.campaign import CampaignStore, ScenarioSpec, run_campaign
+
+    assert main(["chaos", "--crash-node", "0", "--iterations", "16"]) == 0
+    printed = dict(line.split(": ", 1) for line in
+                   capsys.readouterr().out.splitlines()
+                   if line.startswith(("scenario digest:", "outcome digest:")))
+    spec = ScenarioSpec.from_dict({
+        "benchmark": "crc32", "cores": 8, "iterations": 16, "seed": 7,
+        "fault_tolerance": True,
+        "faults": {"crash_node": 0, "crash_at_ms": 5.0},
+    })
+    assert printed["scenario digest"] == spec.digest()
+    with CampaignStore(str(tmp_path / "c.sqlite")) as store:
+        campaign_id = store.record_campaign(
+            name="replay", results=run_campaign([spec]))
+        [(_name, scenario, outcome)] = store.outcome_digests(campaign_id)
+    assert scenario == printed["scenario digest"]
+    assert outcome == printed["outcome digest"]
