@@ -121,7 +121,7 @@ class ChaosEngine:
         """Called by the system's ``run``: learn the unit layout so
         crashes can be targeted, and reject a plan the system cannot
         honour (a crash it cannot survive, a state-corruption target it
-        does not hold or cannot check)."""
+        does not hold)."""
         self._system = system
         if self._crashes and not system.config.fault_tolerance:
             raise ChaosError(
@@ -142,16 +142,6 @@ class ChaosEngine:
                 f'spaces (its workers compute on snapshots of committed '
                 f'state), so the fault would flip nothing'
             )
-        if "memory" in targets and system.config.integrity:
-            from repro.paradigms.specfor import SpecForSystem
-
-            if isinstance(system, SpecForSystem):
-                raise ChaosError(
-                    'the plan corrupts committed memory under integrity, '
-                    'but speculative_for runs no committed-page scrubber: '
-                    'its integrity covers frames and checkpoint images '
-                    'only, so the flip would commit undetected'
-                )
 
     # -- the clock: node crashes ---------------------------------------------
 

@@ -18,6 +18,9 @@ The commit unit owns the program's non-speculative memory state.  It:
 The unit is event-driven over its inbox, so it can interleave COA
 service with commit traffic — workers are never blocked on the commit
 unit being "busy committing", only queued behind it.
+
+:class:`PrimaryImage` is the primary side of a replicated image, for
+the commit unit and the ``speculative_for`` reservation service alike.
 """
 
 from __future__ import annotations
@@ -68,53 +71,298 @@ from repro.obs.tracer import (
 )
 from repro.sim import Event
 
-__all__ = ["CommitUnit"]
+__all__ = ["CommitUnit", "PrimaryImage"]
 
 #: Instructions to service one COA request (page lookup + copy).
 COA_SERVICE_INSTRUCTIONS = 300
 
 
-class CommitUnit:
-    """Commit unit: master memory, group commit, recovery orchestration."""
+class PrimaryImage:
+    """The primary side of a replicated image (fault-tolerant mode),
+    built over its master by each owner of committed memory: the commit
+    unit, the reservation service, or a promoted standby at its frontier
+    (DSMTX's next iteration to commit, speculative_for's committed
+    count).  It takes the epoch checkpoints and builds their markers; in
+    integrity mode it keeps the digest table of what the owner wrote and
+    the sweep that repairs master from the standby's copy
+    (:class:`~repro.core.standby._ImageReplica`, the standby side)."""
 
-    def __init__(self, system: "DSMTXSystem", tid: int) -> None:  # noqa: F821
+    def __init__(self, system, tid: int, master: AddressSpace, frontier: int) -> None:
         self.system = system
         self.tid = tid
         self.core = system.core_of(tid)
-        self.endpoint = system.endpoint_of_unit(tid)
-        #: The program's committed memory.
-        self.master = AddressSpace(f"commit{tid}", faulting=False)
-        #: Next iteration to commit (everything below is committed).
-        self.next_commit = 0
-        #: Epoch checkpointing (fault-tolerant mode only).
-        self._ft = system.config.fault_tolerance
-        self._last_checkpoint_iteration = 0
+        self.master = master
+        #: Frontier of the last checkpoint, and the words committed since.
+        self._last_checkpoint = frontier
         self._words_since_checkpoint = 0
-        #: Replication stream to the hot standby (commit replication);
-        #: ``None`` without a standby — and on a *promoted* unit, which
-        #: runs without a second standby (tid != commit_tid at its
-        #: construction, which happens before the layout swap).
-        self._repl = (
-            system.repl_queue()
-            if self._ft
-            and system.standby_tid is not None
-            and tid == system.commit_tid
-            else None
-        )
-        #: Integrity mode: the digest table of the content this unit
+        self._integrity = system.config.integrity
+        #: Integrity mode: the digest table of the content the owner
         #: itself put in master memory — page number -> page digest, for
         #: every page holding a word it seeded or wrote (a page with no
         #: entry is meant to be empty), and address -> that word's term.
         #: Commits and SEQ re-execution update it per written word; a
         #: silent flip does not — that asymmetry is what the scrubber
         #: audits.  ``None`` when off.
-        self._integrity = self._ft and system.config.integrity
         self._page_digests: dict | None = {} if self._integrity else None
         self._word_digests: dict | None = {} if self._integrity else None
         #: Integrity mode: pages COA-served while master held no entry
-        #: for them (:meth:`_serve_coa`); the scrubber counts them with
-        #: master's pages.  ``None`` when off.
-        self._served_pages: set | None = set() if self._integrity else None
+        #: for them (:meth:`CommitUnit._serve_coa`); the scrubber counts
+        #: them with master's pages.  ``None`` when off.
+        self.served_pages: set | None = set() if self._integrity else None
+
+    # -- epoch checkpoints -------------------------------------------------------------
+
+    def checkpoint(self, frontier: int, words: int) -> bool:
+        """Epoch checkpointing: count ``words`` committed up to
+        ``frontier``, and every ``checkpoint_interval_mtxs`` iterations
+        persist the words written since the previous checkpoint plus
+        the frontier.
+
+        Master memory is already a consistent sequential prefix by
+        construction (only in-order validated MTXs, or a round's
+        iteration-ordered winners, touch it), so the checkpoint is an
+        incremental flush, not a stop-the-world snapshot — its cost
+        scales with the delta, charged to the owner's core like any
+        other commit work.
+
+        Returns True when a checkpoint was taken (the owner then
+        mirrors it to its standby with a :meth:`marker`).
+        """
+        config = self.system.config
+        self._words_since_checkpoint += words
+        if frontier - self._last_checkpoint < config.checkpoint_interval_mtxs:
+            return False
+        words = self._words_since_checkpoint
+        self.core.charge_instructions(
+            config.checkpoint_base_instructions
+            + words * config.checkpoint_word_instructions
+        )
+        self.system.stats.checkpoints.append(
+            CheckpointRecord(iteration=frontier, words=words, at=self.system.env.now)
+        )
+        self._last_checkpoint = frontier
+        self._words_since_checkpoint = 0
+        obs = self.system.obs
+        if obs is not None:
+            obs.tracer.instant(
+                CAT_FT_CHECKPOINT, f"checkpoint:{frontier}",
+                PID_RUNTIME, self.tid, iteration=frontier, words=words,
+            )
+            obs.metrics.counter("ft.checkpoints").inc()
+        return True
+
+    def marker(self, head: tuple, nbytes: int) -> tuple:
+        """``(marker, nbytes)`` of the checkpoint marker ``head`` of
+        ``nbytes``.  In integrity mode it ends with the end-to-end
+        checkpoint digest: the standby folds its replay log at this
+        marker and verifies the result against the master's digest."""
+        if self._integrity:
+            return head + (space_digest(self.master),), nbytes + CHECKSUM_BYTES
+        return head, nbytes
+
+    # -- integrity scrubbing (integrity mode) ------------------------------------------
+
+    def seed_digests(self) -> None:
+        """Seed the digest table from the current master: the workload
+        prologue's initial state for a fresh owner, the replayed
+        checkpoint image for a promoted one."""
+        self._page_digests = {}
+        self._word_digests = {}
+        self.digest_writes(
+            (page.number << PAGE_SHIFT | index << WORD_SHIFT, value)
+            for page in self.master.iter_pages()
+            for index, value in page.items()
+        )
+
+    def digest_writes(self, writes) -> None:
+        """Fold ``(address, value)`` words the owner put in master into
+        the digest table, in apply order (the last write to an address
+        wins, as in master).
+
+        Each word's new term replaces the term the owner recorded for
+        the address, never one recomputed from the word master holds
+        now: a silent flip in a word a commit overwrites is healed by
+        the write, and a flip in a word it does not overwrite stays a
+        mismatch for the scrubber instead of being digested into the
+        table."""
+        pages = self._page_digests
+        words = self._word_digests
+        for address, value in writes:
+            number = address >> PAGE_SHIFT
+            term = word_digest((address & PAGE_MASK) >> WORD_SHIFT, value)
+            digest = pages.get(number)
+            if digest is None:
+                digest = empty_page_digest(number)
+            pages[number] = (digest + term - words.get(address, 0)) & DIGEST_MASK
+            words[address] = term
+
+    def scrub_once(self) -> int:
+        """One scrub sweep: audit every committed page against the
+        digest table of what the owner put there.
+
+        Every mutation of master memory goes through commit bookkeeping
+        and updates the table per written word; a silent flip does not
+        — so a page whose content no longer matches its recorded digest
+        has been corrupted in place.  A page with no table entry is
+        meant to be empty.  A never-written page in master (``ZERO_WORDS``:
+        every store and every chaos flip swaps in a private array first;
+        a master read materializes one) with no table entry costs one
+        identity check and one lookup.  A never-written page COA-served
+        from outside master costs nothing to audit: no flip can reach a
+        page master does not hold.  ``ft_scrub_pages`` counts both kinds,
+        each once per sweep, and the sweep charges
+        ``checkpoint_word_instructions`` per present word it audits.
+
+        Repair comes from the replicated copy when it is provably
+        current: the standby's folded image plus its replay log
+        reconstruct the page at the replicated frontier, and when that
+        reconstruction matches the table's digest (no commit has
+        touched the page since), it is installed over the corrupted
+        page — a management-path page fetch, priced on the owner's core
+        like a COA install.  Otherwise the corruption is counted
+        unrepairable: the run finishes, but the resilience report flags
+        it instead of presenting the poisoned words as committed
+        results.
+
+        Returns the number of corrupted pages found this sweep.
+        """
+        system = self.system
+        stats = system.stats
+        table = self._page_digests
+        stats.ft_scrub_rounds += 1
+        found = 0
+        audited_words = 0
+        pages = self.master.pages
+        # Every other page is never-written and meant to be empty: clean.
+        to_digest = [
+            page for page in pages.values()
+            if page.words is not ZERO_WORDS or page.number in table
+        ]
+        to_digest.sort(key=attrgetter("number"))
+        for page in to_digest:
+            if page.words is not ZERO_WORDS:
+                audited_words += page.present_mask.bit_count()
+            if self.audit_page(page):
+                found += 1
+        # Count master's pages and the never-written pages served from
+        # outside it, each once: drop the served pages master has since
+        # gained.
+        served = self.served_pages
+        served.difference_update(pages)
+        stats.ft_scrub_pages += len(pages) + len(served)
+        self.core.charge_instructions(
+            audited_words * system.config.checkpoint_word_instructions
+        )
+        return found
+
+    def audit_page(self, page) -> bool:
+        """Audit one master page against the digest table.
+
+        On a mismatch, count the corruption, repair the page from the
+        standby's copy when :meth:`_repair_page` can, and trace the
+        outcome.  Returns True when the page was corrupted.  The
+        comparison charges no simulated time (a repair is priced by
+        :meth:`_repair_page`): :meth:`scrub_once` prices its sweep per
+        audited word, and a COA serve (:meth:`CommitUnit._serve_coa`)
+        audits for free.
+        """
+        number = page.number
+        if page.words is ZERO_WORDS:
+            actual = empty_page_digest(number)
+        else:
+            actual = page_digest(page)
+        expected = self._page_digests.get(number)
+        if expected is None:
+            expected = empty_page_digest(number)
+        if actual == expected:
+            return False
+        stats = self.system.stats
+        stats.ft_corruptions_detected += 1
+        repaired = self._repair_page(page, expected)
+        if repaired:
+            stats.ft_corruptions_repaired += 1
+        else:
+            stats.ft_corruptions_unrepairable += 1
+        obs = self.system.obs
+        if obs is not None:
+            obs.tracer.instant(
+                CAT_INTEGRITY, "scrub_corruption", PID_RUNTIME, self.tid,
+                page=number, repaired=repaired,
+            )
+            obs.metrics.counter(
+                "integrity.scrub_repaired" if repaired
+                else "integrity.scrub_unrepairable"
+            ).inc()
+        return True
+
+    def _repair_page(self, page, expected: int) -> bool:
+        """Restore a corrupted master page from the standby's copy.
+
+        Only a provably *current* copy is used: image + replay log give
+        the page at the replicated frontier, verified against the
+        table's digest before installation.  A stale or absent copy (no
+        standby, standby dead or promoted, or commits landed on the page
+        since the frontier) refuses the repair — installing old data
+        would be a second corruption.  An installed copy holds exactly
+        the content the table records, so the table stays as it is.
+        """
+        from repro.memory import word_index
+
+        system = self.system
+        standby = system.standby
+        if (
+            standby is None
+            or standby.promoted
+            or system.standby_tid in system.dead_tids
+        ):
+            return False
+        base = standby.image.pages.get(page.number)
+        candidate = base.snapshot() if base is not None else Page(page.number)
+        for address, value in standby.replay_log:
+            if page_number(address) == page.number:
+                candidate.install_word(word_index(address), value)
+        if page_digest(candidate) != expected:
+            return False
+        # The candidate is discarded: its array (a private list, or a
+        # tuple shared copy-on-write with the image) becomes the page's.
+        page.words = candidate.words
+        page.present_mask = candidate.present_mask
+        # Management-path fetch: page bytes on the wire, an install on
+        # the owner's core.
+        system.stats.record_queue_bytes("scrub", system.cluster.page_bytes)
+        self.core.charge_instructions(system.config.coa_install_instructions)
+        return True
+
+
+class CommitUnit:
+    """Commit unit: master memory, group commit, recovery orchestration."""
+
+    def __init__(self, system: "DSMTXSystem", tid: int,  # noqa: F821
+                 master=None, frontier: int = 0) -> None:
+        self.system = system
+        self.tid = tid
+        self.core = system.core_of(tid)
+        self.endpoint = system.endpoint_of_unit(tid)
+        if master is None:
+            master = AddressSpace(f"commit{tid}", faulting=False)
+        #: The program's committed memory (a promoted unit's is the
+        #: standby's replayed image).
+        self.master = master
+        #: Next iteration to commit (everything below is committed).
+        self.next_commit = frontier
+        ft = system.config.fault_tolerance
+        #: Checkpoints and scrubbing; ``None`` outside fault-tolerant mode.
+        self.image = PrimaryImage(system, tid, master, frontier) if ft else None
+        #: Replication stream to the hot standby (commit replication);
+        #: ``None`` without a standby — and on a *promoted* unit, which
+        #: runs without a second standby (tid != commit_tid at its
+        #: construction, which happens before the layout swap).
+        self._repl = (
+            system.repl_queue()
+            if system.standby_tid is not None and tid == system.commit_tid
+            else None
+        )
+        self._integrity = system.config.integrity
         #: Promotion provenance, set on a promoted unit: the dead
         #: primary's node and the promotion fields of its FailureRecord.
         self._promotion = None
@@ -154,7 +402,7 @@ class CommitUnit:
         system = self.system
         state = system.state
         if self._integrity:
-            self._seed_digests()
+            self.image.seed_digests()
         # A promoted unit may inherit a rollback in flight even with
         # nothing left to commit: survivors wait for it at a barrier.
         while self.next_commit < system.total_iterations or state.rollback is not None:
@@ -225,15 +473,15 @@ class CommitUnit:
             # Never written: answered with an empty page, and master
             # gains no page-table entry (a first touch costs a round
             # trip, not committed memory).  The scrubber still counts
-            # the page (:meth:`scrub_once`).
+            # the page (:meth:`PrimaryImage.scrub_once`).
             page = Page(page_no)
-            if self._served_pages is not None:
-                self._served_pages.add(page_no)
+            if self._integrity:
+                self.image.served_pages.add(page_no)
         else:
             if self._integrity:
                 # COA serves committed state: a flip the next sweep
                 # would find is repaired before a worker computes on it.
-                self._audit_page(page)
+                self.image.audit_page(page)
             if word_index is None:
                 page = page.snapshot()  # shares the committed frozen array
         if word_index is None:
@@ -328,24 +576,13 @@ class CommitUnit:
                 yield from repl.produce(
                     (REPL_FRONTIER, self.next_commit), nbytes=MARKER_BYTES
                 )
-        if committed and self._ft:
-            if self._maybe_checkpoint(committed_words) and repl is not None:
-                if self._integrity:
-                    # End-to-end checkpoint digest: the standby folds
-                    # its replay log at this marker and verifies the
-                    # result against the primary's master digest.
-                    yield from repl.produce(
-                        (
-                            REPL_CHECKPOINT,
-                            self.next_commit,
-                            space_digest(self.master),
-                        ),
-                        nbytes=MARKER_BYTES + CHECKSUM_BYTES,
-                    )
-                else:
-                    yield from repl.produce(
-                        (REPL_CHECKPOINT, self.next_commit), nbytes=MARKER_BYTES
-                    )
+        image = self.image
+        if committed and image is not None:
+            if image.checkpoint(self.next_commit, committed_words) and repl is not None:
+                marker, nbytes = image.marker(
+                    (REPL_CHECKPOINT, self.next_commit), MARKER_BYTES
+                )
+                yield from repl.produce(marker, nbytes=nbytes)
             if repl is not None:
                 # Bound replication lag to one group-commit round: the
                 # standby's frontier is at most a round behind.
@@ -377,223 +614,8 @@ class CommitUnit:
         pairs = [(entry[1], entry[2]) for entry in writes]
         words = self.master.apply_writes(pairs)
         if self._integrity:
-            self._digest_writes(pairs)
+            self.image.digest_writes(pairs)
         return words
-
-    def _maybe_checkpoint(self, committed_words: int) -> bool:
-        """Epoch checkpointing (fault-tolerant mode): every
-        ``checkpoint_interval_mtxs`` commits, persist the words written
-        since the previous checkpoint plus the commit frontier.
-
-        Master memory is already a consistent sequential prefix by
-        construction (only in-order validated MTXs touch it), so the
-        checkpoint is an incremental flush, not a stop-the-world
-        snapshot — its cost scales with the delta, charged to the
-        commit core like any other commit work.
-
-        Returns True when a checkpoint was taken (the caller then
-        mirrors it to the standby with a ``REPL_CHECKPOINT`` marker).
-        """
-        config = self.system.config
-        self._words_since_checkpoint += committed_words
-        if (
-            self.next_commit - self._last_checkpoint_iteration
-            < config.checkpoint_interval_mtxs
-        ):
-            return False
-        words = self._words_since_checkpoint
-        self.core.charge_instructions(
-            config.checkpoint_base_instructions
-            + words * config.checkpoint_word_instructions
-        )
-        self.system.stats.checkpoints.append(
-            CheckpointRecord(
-                iteration=self.next_commit, words=words, at=self.system.env.now
-            )
-        )
-        self._last_checkpoint_iteration = self.next_commit
-        self._words_since_checkpoint = 0
-        obs = self.system.obs
-        if obs is not None:
-            obs.tracer.instant(
-                CAT_FT_CHECKPOINT, f"checkpoint:{self.next_commit}",
-                PID_RUNTIME, self.tid, iteration=self.next_commit, words=words,
-            )
-            obs.metrics.counter("ft.checkpoints").inc()
-        return True
-
-    # -- integrity scrubbing (integrity mode) ------------------------------------------
-
-    def _seed_digests(self) -> None:
-        """Seed the digest table from the current master: the workload
-        prologue's initial state for a fresh unit, the replayed
-        checkpoint image for a promoted one."""
-        self._page_digests = {}
-        self._word_digests = {}
-        self._digest_writes(
-            (page.number << PAGE_SHIFT | index << WORD_SHIFT, value)
-            for page in self.master.iter_pages()
-            for index, value in page.items()
-        )
-
-    def _digest_writes(self, writes) -> None:
-        """Fold ``(address, value)`` words this unit put in master into
-        the digest table, in apply order (the last write to an address
-        wins, as in master).
-
-        Each word's new term replaces the term this unit recorded for
-        the address, never one recomputed from the word master holds
-        now: a silent flip in a word a commit overwrites is healed by
-        the write, and a flip in a word it does not overwrite stays a
-        mismatch for the scrubber instead of being digested into the
-        table."""
-        pages = self._page_digests
-        words = self._word_digests
-        for address, value in writes:
-            number = address >> PAGE_SHIFT
-            term = word_digest((address & PAGE_MASK) >> WORD_SHIFT, value)
-            digest = pages.get(number)
-            if digest is None:
-                digest = empty_page_digest(number)
-            pages[number] = (digest + term - words.get(address, 0)) & DIGEST_MASK
-            words[address] = term
-
-    def scrub_once(self) -> int:
-        """One scrub sweep: audit every committed page against the
-        digest table of what this unit put there.
-
-        Every mutation of master memory goes through commit bookkeeping
-        and updates the table per written word; a silent flip does not
-        — so a page whose content no longer matches its recorded digest
-        has been corrupted in place.  A page with no table entry is
-        meant to be empty.  A never-written page in master (``ZERO_WORDS``:
-        every store and every chaos flip swaps in a private array first;
-        a master read materializes one) with no table entry costs one
-        identity check and one lookup.  A never-written page COA-served
-        from outside master costs nothing to audit: no flip can reach a
-        page master does not hold.  ``ft_scrub_pages`` counts both kinds,
-        each once per sweep, and the sweep charges
-        ``checkpoint_word_instructions`` per present word it audits.
-
-        Repair comes from the replicated copy when it is provably
-        current: the standby's folded image plus its replay log
-        reconstruct the page at the replicated frontier, and when that
-        reconstruction matches the table's digest (no commit has
-        touched the page since), it is installed over the corrupted
-        page — a management-path page fetch, priced on the commit core
-        like a COA install.  Otherwise the corruption is counted
-        unrepairable: the run finishes, but the resilience report flags
-        it instead of presenting the poisoned words as committed
-        results.
-
-        Returns the number of corrupted pages found this sweep.
-        """
-        system = self.system
-        stats = system.stats
-        table = self._page_digests
-        stats.ft_scrub_rounds += 1
-        found = 0
-        audited_words = 0
-        pages = self.master.pages
-        # Every other page is never-written and meant to be empty: clean.
-        to_digest = [
-            page for page in pages.values()
-            if page.words is not ZERO_WORDS or page.number in table
-        ]
-        to_digest.sort(key=attrgetter("number"))
-        for page in to_digest:
-            if page.words is not ZERO_WORDS:
-                audited_words += page.present_mask.bit_count()
-            if self._audit_page(page):
-                found += 1
-        # Count master's pages and the never-written pages served from
-        # outside it, each once: drop the served pages master has since
-        # gained.
-        served = self._served_pages
-        served.difference_update(pages)
-        stats.ft_scrub_pages += len(pages) + len(served)
-        self.core.charge_instructions(
-            audited_words * system.config.checkpoint_word_instructions
-        )
-        return found
-
-    def _audit_page(self, page) -> bool:
-        """Audit one master page against the digest table.
-
-        On a mismatch, count the corruption, repair the page from the
-        standby's copy when :meth:`_repair_page` can, and trace the
-        outcome.  Returns True when the page was corrupted.  The
-        comparison charges no simulated time (a repair is priced by
-        :meth:`_repair_page`): :meth:`scrub_once` prices its sweep per
-        audited word, and a COA serve (:meth:`_serve_coa`) audits for
-        free.
-        """
-        number = page.number
-        if page.words is ZERO_WORDS:
-            actual = empty_page_digest(number)
-        else:
-            actual = page_digest(page)
-        expected = self._page_digests.get(number)
-        if expected is None:
-            expected = empty_page_digest(number)
-        if actual == expected:
-            return False
-        stats = self.system.stats
-        stats.ft_corruptions_detected += 1
-        repaired = self._repair_page(page, expected)
-        if repaired:
-            stats.ft_corruptions_repaired += 1
-        else:
-            stats.ft_corruptions_unrepairable += 1
-        obs = self.system.obs
-        if obs is not None:
-            obs.tracer.instant(
-                CAT_INTEGRITY, "scrub_corruption", PID_RUNTIME, self.tid,
-                page=number, repaired=repaired,
-            )
-            obs.metrics.counter(
-                "integrity.scrub_repaired" if repaired
-                else "integrity.scrub_unrepairable"
-            ).inc()
-        return True
-
-    def _repair_page(self, page, expected: int) -> bool:
-        """Restore a corrupted master page from the standby's copy.
-
-        Only a provably *current* copy is used: image + replay log give
-        the page at the replicated frontier, verified against the
-        table's digest before installation.  A stale or absent copy (no
-        standby, standby dead or promoted, or commits landed on the page
-        since the frontier) refuses the repair — installing old data
-        would be a second corruption.  An installed copy holds exactly
-        the content the table records, so the table stays as it is.
-        """
-        from repro.memory import word_index
-
-        system = self.system
-        standby = getattr(system, "standby", None)
-        if (
-            standby is None
-            or standby.promoted
-            or system.standby_tid in system.dead_tids
-        ):
-            return False
-        base = standby.image.pages.get(page.number)
-        candidate = base.snapshot() if base is not None else Page(page.number)
-        for address, value in standby.replay_log:
-            if page_number(address) == page.number:
-                candidate.install_word(word_index(address), value)
-        if page_digest(candidate) != expected:
-            return False
-        # The candidate is discarded: its array (a private list, or a
-        # tuple shared copy-on-write with the image) becomes the page's.
-        page.words = candidate.words
-        page.present_mask = candidate.present_mask
-        # Management-path fetch: page bytes on the wire, an install on
-        # the commit core.
-        system.stats.record_queue_bytes("scrub", system.cluster.page_bytes)
-        self.core.charge_instructions(system.config.coa_install_instructions)
-        return True
 
     def _check_read_only(self, writes) -> None:
         """COA replicas rely on read-only pages never being committed
@@ -715,7 +737,7 @@ class CommitUnit:
             self.next_commit = target + 1
             if self._integrity:
                 # SEQ wrote master directly; digest its words in write order.
-                self._digest_writes(context.written)
+                self.image.digest_writes(context.written)
             if self._repl is not None:
                 # The standby needs SEQ's words too, under the advanced
                 # frontier.

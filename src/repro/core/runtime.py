@@ -6,8 +6,8 @@ state and statistics, and the fault-tolerance shell (reliable
 transport, failure detector, failure declaration, re-partition).
 :class:`DSMTXSystem` adds the pipeline's units (stage workers,
 try-commit unit, commit unit, COA replicas, commit standby), their
-queues, the shared recovery coordinator and the committed-page
-scrubber; :class:`~repro.paradigms.specfor.SpecForSystem` adds the
+queues and the shared recovery coordinator;
+:class:`~repro.paradigms.specfor.SpecForSystem` adds the
 ``speculative_for`` workers and reservation service.
 :meth:`DSMTXSystem.run` executes the workload's parallel region to
 completion and returns a :class:`RunResult` with the simulated duration
@@ -33,7 +33,7 @@ from repro.core.messages import CTL_NODE_FAILED, CTL_PROMOTE, ControlEnvelope
 from repro.core.queues import RuntimeQueue
 from repro.core.recovery import RecoveryCoordinator
 from repro.core.standby import StandbyUnit
-from repro.core.state import SystemState
+from repro.core.state import RunMode, SystemState
 from repro.core.stats import RunStats
 from repro.core.transport import ReliableTransport
 from repro.core.try_commit import TryCommitUnit
@@ -144,6 +144,9 @@ class ClusterSystem:
         self.standby_tid = standby_tid
         #: Units lost to node failures so far.
         self.dead_tids: set[int] = set()
+        #: The committed memory owner's :class:`~repro.core.commit.PrimaryImage`
+        #: under fault tolerance (the paradigm sets it; a promotion swaps it).
+        self.image = None
         self._core_indices = place_units(self.cluster, num_units, config.placement)
         if standby_tid is not None:
             place_standby(self.cluster, self._core_indices, commit_tid, standby_tid)
@@ -266,8 +269,25 @@ class ClusterSystem:
 
     # -- execution --------------------------------------------------------------------------------
 
-    def _start_auxiliaries(self) -> None:
-        """Paradigm hook: start processes outside the completion set."""
+    def _scrub_process(self):
+        """Periodic page-digest audit of committed memory.
+
+        Re-reads ``self.image`` every sweep so the scrubber follows a
+        standby promotion, and sits out sweeps while the owner's node
+        is dead (the promotion races the detector) or a recovery is
+        rolling master forward (SEQ writes words across many yield
+        points; auditing half-applied state would read legitimate
+        re-execution as corruption)."""
+        interval = self.config.scrub_interval_s
+        while not self.state.done:
+            yield self.env.timeout(interval)
+            if self.state.done:
+                return
+            if self.state.mode != RunMode.RUN:
+                continue
+            if self.commit_tid in self.dead_tids:
+                continue
+            self.image.scrub_once()
 
     def _run_units(self, mains: list) -> float:
         """Run the units' main loops to completion; returns the elapsed
@@ -275,7 +295,7 @@ class ClusterSystem:
 
         ``mains[tid]`` is unit ``tid``'s main generator.  Each unit is
         spawned on its node under its label, in tid order; then the
-        failure detector's tick, the paradigm's auxiliaries and the
+        failure detector's tick, the scrubber (integrity mode) and the
         chaos engine's binding start, in that order.
         """
         env = self.env
@@ -288,7 +308,10 @@ class ClusterSystem:
             processes.append(process)
         if self.failure_detector is not None:
             self.failure_detector.start()
-        self._start_auxiliaries()
+        if self.config.integrity:
+            # Auxiliary process (not in the completion set): abandoned
+            # when the run's own processes finish.
+            env.process(self._scrub_process(), name="scrubber")
         if env.chaos is not None:
             env.chaos.bind_system(self)
         env.run(until=env.all_of(processes))
@@ -357,6 +380,7 @@ class DSMTXSystem(ClusterSystem):
                 self.workers.append(Worker(self, tid, stage_index, replica))
         self.try_commit = TryCommitUnit(self, self.trycommit_tid)
         self.commit = CommitUnit(self, self.commit_tid)
+        self.image = self.commit.image
         self.coa_replicas = [CoaReplica(self, tid) for tid in self.replica_tids]
         #: Commit-unit hot standby; ``None`` without commit replication.
         self.standby = (
@@ -569,12 +593,10 @@ class DSMTXSystem(ClusterSystem):
         # Construct *before* the layout swap: with tid != commit_tid the
         # new unit does not open a replication stream to itself (a
         # promoted unit runs without a second standby).
-        unit = CommitUnit(self, standby.tid)
-        unit.master = standby.image
-        unit.next_commit = frontier
-        unit._last_checkpoint_iteration = frontier
+        unit = CommitUnit(self, standby.tid, master=standby.image, frontier=frontier)
         unit._recommitted = recommitted
         self.commit = unit
+        self.image = unit.image
         self.commit_tid = standby.tid
         for queue in self._queues.values():
             if queue.dst_tid == old_tid and not queue.retired:
@@ -611,35 +633,6 @@ class DSMTXSystem(ClusterSystem):
         summary["try-commit"] = per_unit["try-commit"]
         summary["commit"] = per_unit["commit"]
         return summary
-
-    def _scrub_process(self):
-        """Periodic page-digest audit of committed memory.
-
-        Re-reads ``self.commit`` every sweep so the scrubber follows a
-        standby promotion, and sits out sweeps while the commit unit's
-        node is dead (the promotion races the detector) or a recovery
-        is rolling master forward (SEQ writes words across many yield
-        points; auditing half-applied state would read legitimate
-        re-execution as corruption)."""
-        from repro.core.state import RunMode
-
-        interval = self.config.scrub_interval_s
-        while not self.state.done:
-            yield self.env.timeout(interval)
-            if self.state.done:
-                return
-            if self.state.mode != RunMode.RUN:
-                continue
-            commit = self.commit
-            if commit.tid in self.dead_tids:
-                continue
-            commit.scrub_once()
-
-    def _start_auxiliaries(self) -> None:
-        if self.config.integrity:
-            # Auxiliary process (not in the completion set): abandoned
-            # when the run's own processes finish.
-            self.env.process(self._scrub_process(), name="scrubber")
 
     def run(self, iterations: Optional[int] = None) -> RunResult:
         """Execute the workload's parallel region to completion."""

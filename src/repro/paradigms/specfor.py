@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Optional, Sequence
 
+from repro.core.commit import PrimaryImage
 from repro.core.config import SystemConfig
-from repro.core.integrity import CHECKSUM_BYTES, space_digest
 from repro.core.messages import (
     ENTRY_BYTES,
     MARKER_BYTES,
@@ -59,7 +59,7 @@ from repro.core.reservations import (
 )
 from repro.core.runtime import ClusterSystem, RunResult
 from repro.core.standby import ReservationStandby
-from repro.core.stats import CheckpointRecord, FailureRecord
+from repro.core.stats import FailureRecord
 from repro.errors import (
     ClusterFailedError,
     ConfigurationError,
@@ -515,6 +515,11 @@ class SpecForSystem(ClusterSystem):
         site = ensure_reservation_site(workload)
         if config is None:
             config = SystemConfig(total_cores=max(3, workers + 1))
+        if config.coa_replicas:
+            raise ConfigurationError(
+                "COA read replicas belong to the DSMTX runtime; "
+                "speculative_for ships snapshots to every worker instead"
+            )
         self.num_workers = workers
         #: The reservation service plays the commit unit (it owns the
         #: master image); reassigned to the standby's tid at promotion.
@@ -542,6 +547,8 @@ class SpecForSystem(ClusterSystem):
         #: Digest/report convention: ``system.commit.master`` is the
         #: committed memory image (same shape as DSMTXSystem).
         self.commit = self.service
+        if config.fault_tolerance:
+            self.image = PrimaryImage(self, self.service_tid, self.service.master, 0)
         #: Reservation-service hot standby; ``None`` without replication.
         self.standby = (
             ReservationStandby(self, standby_tid) if standby_tid is not None else None
@@ -592,6 +599,7 @@ class SpecForSystem(ClusterSystem):
         )
         self.service = service
         self.commit = service
+        self.image = PrimaryImage(self, standby.tid, standby.image, shadow.committed)
         self.commit_tid = standby.tid
         self.service_tid = standby.tid
         # The standby seat is consumed by the promotion: the promoted
@@ -784,8 +792,10 @@ class SpecForSystem(ClusterSystem):
                 self.service, self.workload.iterations, self.granularity
             )
         spec = engine.service.stats
-        ckpt_committed = spec.committed
-        ckpt_words = spec.words_committed
+        image = self.image
+        if config.integrity:
+            # Before the first yield: a sweep may run at any of them.
+            image.seed_digests()
         try:
             while True:
                 if state.failover_pending:
@@ -806,6 +816,10 @@ class SpecForSystem(ClusterSystem):
                     stats.ft_round_reexecutions += 1
                     if obs is not None:
                         obs.metrics.counter("ft.round_reexecutions").inc()
+                if config.integrity:
+                    # Winners are in master: digest them before a sweep
+                    # (at any yield) reads the commit as corruption.
+                    image.digest_writes(engine.delta)
                 full = False
                 core.charge_cycles(commit_cycles * record.words_committed)
                 stats.committed_mtxs += record.completed
@@ -833,35 +847,15 @@ class SpecForSystem(ClusterSystem):
                         + 8 * MARKER_BYTES,
                         "repl",
                     )
-                # Epoch checkpoints follow fault_tolerance, as in the
-                # DSMTX commit unit.
                 if (
-                    config.fault_tolerance
-                    and spec.committed - ckpt_committed
-                    >= config.checkpoint_interval_mtxs
+                    image is not None
+                    and image.checkpoint(spec.committed, record.words_committed)
+                    and self.standby_alive
                 ):
-                    words = spec.words_committed - ckpt_words
-                    core.charge_instructions(
-                        config.checkpoint_base_instructions
-                        + words * config.checkpoint_word_instructions
+                    marker, nbytes = image.marker(
+                        (SF_REPL_CHECKPOINT, spec.committed), 2 * MARKER_BYTES
                     )
-                    stats.checkpoints.append(
-                        CheckpointRecord(
-                            iteration=spec.committed, words=words, at=self.env.now
-                        )
-                    )
-                    ckpt_committed = spec.committed
-                    ckpt_words = spec.words_committed
-                    if self.standby_alive:
-                        marker = (SF_REPL_CHECKPOINT, spec.committed)
-                        nbytes = 2 * MARKER_BYTES
-                        if config.integrity:
-                            # End-to-end checkpoint digest: the standby
-                            # folds its replay log at this marker and
-                            # verifies the result against the master.
-                            marker += (space_digest(engine.service.master),)
-                            nbytes += CHECKSUM_BYTES
-                        yield from send(self.standby_tid, marker, nbytes, "repl")
+                    yield from send(self.standby_tid, marker, nbytes, "repl")
             for w in list(self.live_workers):
                 yield from send(w, (SF_STOP,), MARKER_BYTES, "specfor_round")
             if self.standby_alive:

@@ -8,9 +8,10 @@ The acceptance bar for the integrity layer (docs/RESILIENCE.md):
   reliable transport's retransmit machinery re-delivers the intact
   original.  The same plan without ``integrity`` commits silently
   wrong results, which is the hazard the checksums exist for.
-* **Committed memory.**  The periodic scrubber audits the commit
-  unit's pages against their digest table, detects flipped words, and
-  repairs them from the hot standby's replicated image.
+* **Committed memory.**  The periodic scrubber audits the pages of
+  the commit unit, or of the ``speculative_for`` reservation service,
+  against their digest table, detects flipped words, and repairs them
+  from the hot standby's replicated image.
 * **Durable state.**  A standby whose checkpoint image fails its
   digest check refuses promotion (fail-stop) instead of resurrecting
   corrupted state as the new truth — the DSMTX commit standby and the
@@ -132,19 +133,20 @@ def build(plan=None, workload_cls=ToyDoall, **overrides):
     return system, engine
 
 
-def build_specfor(plan=None):
+def build_specfor(plan=None, iterations=ITERATIONS, **overrides):
     """The ``speculative_for`` counterpart of :func:`build`: a
     reservation service with a hot standby, checkpointing every 8
     committed iterations, on spread cores."""
-    config = SystemConfig(
-        total_cores=6,
-        fault_tolerance=True,
-        commit_replication=True,
-        placement="spread",
-        checkpoint_interval_mtxs=8,
-        integrity=True,
-    )
-    workload = SpanningForest(iterations=ITERATIONS, density=0.7)
+    config = SystemConfig(**{
+        "total_cores": 6,
+        "fault_tolerance": True,
+        "commit_replication": True,
+        "placement": "spread",
+        "checkpoint_interval_mtxs": 8,
+        "integrity": True,
+        **overrides,
+    })
+    workload = SpanningForest(iterations=iterations, density=0.7)
     system = SpecForSystem(workload, config, workers=4)
     engine = None
     if plan is not None:
@@ -371,11 +373,11 @@ def test_scrubber_counts_zero_pages_and_catches_a_word_flipped_into_one():
     stats = system.stats
     master = commit.master
     # A COA serve of a never-written page adds nothing to master.
-    served = commit._served_pages
+    served = commit.image.served_pages
     assert served and not served & set(master.pages)
     covered = len(set(master.pages) | served)
     audited = stats.ft_scrub_pages
-    assert commit.scrub_once() == 0
+    assert commit.image.scrub_once() == 0
     assert stats.ft_scrub_pages == audited + covered
 
     # Master reads of served pages materialize them: counted once.
@@ -384,7 +386,7 @@ def test_scrubber_counts_zero_pages_and_catches_a_word_flipped_into_one():
     zero = [page for page in master.iter_pages() if page.words is ZERO_WORDS]
     assert zero and len(zero) < len(master.pages)
     audited = stats.ft_scrub_pages
-    assert commit.scrub_once() == 0
+    assert commit.image.scrub_once() == 0
     assert len(set(master.pages) | served) == covered
     assert stats.ft_scrub_pages == audited + covered
 
@@ -395,17 +397,17 @@ def test_scrubber_counts_zero_pages_and_catches_a_word_flipped_into_one():
     victim.present_mask |= 1 << 5
     detected = stats.ft_corruptions_detected
     repaired = stats.ft_corruptions_repaired
-    assert commit.scrub_once() == 1
+    assert commit.image.scrub_once() == 1
     assert stats.ft_corruptions_detected == detected + 1
     assert stats.ft_corruptions_repaired == repaired + 1
     assert not victim.present_mask and not any(victim.words)
-    assert commit.scrub_once() == 0
+    assert commit.image.scrub_once() == 0
 
     # A zero page whose authoritative digest is not the empty page's.
     stale = zero[0]
-    commit._page_digests[stale.number] = empty_page_digest(stale.number) ^ 1
+    commit.image._page_digests[stale.number] = empty_page_digest(stale.number) ^ 1
     unrepairable = stats.ft_corruptions_unrepairable
-    assert commit.scrub_once() == 1
+    assert commit.image.scrub_once() == 1
     assert stats.ft_corruptions_unrepairable == unrepairable + 1
     assert stale.words is ZERO_WORDS
 
@@ -464,6 +466,41 @@ def test_a_flipped_master_page_is_audited_before_it_is_coa_served():
             == memory_fingerprint(reference.commit.master))
 
 
+@pytest.fixture(scope="module")
+def specfor_scrub_reference():
+    """``(scrub interval, fault-free system, its result)`` of a
+    192-iteration integrity ``speculative_for`` run whose sweep interval
+    is a sixteenth of a probe run's simulated time, as ``repro scrub``
+    sizes it (the 5 ms default would never sweep a 1.5 ms run)."""
+    probe, _ = build_specfor(iterations=192)
+    interval = probe.run().elapsed_seconds / 16
+    system, _ = build_specfor(iterations=192, scrub_interval_s=interval)
+    return interval, system, system.run()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_specfor_scrubber_repairs_master_flips(seed, specfor_scrub_reference):
+    # The reservation service owns committed memory as the commit unit
+    # does, and the same PrimaryImage sweeps it: four words of the
+    # service's master flip at 30% of the run, the sweeps find the
+    # flipped pages and repair them from the reservation standby's
+    # copy, and the run commits the fault-free image.
+    interval, ref_system, ref_result = specfor_scrub_reference
+    plan = FaultPlan(
+        faults=(StateCorruption(
+            "memory", at_s=0.3 * ref_result.elapsed_seconds, words=4),),
+        seed=seed,
+    )
+    system, engine = build_specfor(plan, iterations=192, scrub_interval_s=interval)
+    result = system.run()
+    stats = result.stats
+    assert engine.state_corruption_log[0][2] == 4
+    assert stats.ft_scrub_rounds >= 1
+    assert stats.ft_corruptions_detected >= 1
+    assert stats.ft_corruptions_unrepairable == 0
+    assert_same_results(system, result, (ref_system, ref_result))
+
+
 #: Twelve words on three pages, for commit groups that repeat addresses.
 TABLE_ADDRESSES = tuple(
     page * 4096 + index * 8 for page in (2, 3, 5) for index in (0, 1, 7, 511))
@@ -516,18 +553,18 @@ def test_digest_table_tracks_a_flip_free_model(prologue, steps):
     master = commit.master
     for address, value in prologue.items():
         master.write(address, value)
-    commit._seed_digests()
+    commit.image.seed_digests()
     replica.seed_image(master)
     model = dict(prologue)
     unreplicated = []
     flagged = []
-    repair = commit._repair_page
+    repair = commit.image._repair_page
 
     def recording_repair(page, expected):
         flagged.append(page.number)
         return repair(page, expected)
 
-    commit._repair_page = recording_repair
+    commit.image._repair_page = recording_repair
     for step in steps:
         kind = step[0]
         if kind in ("commit", "seq"):
@@ -537,7 +574,7 @@ def test_digest_table_tracks_a_flip_free_model(prologue, steps):
             else:  # SEQ writes master directly, then digests its words
                 for address, value in writes:
                     master.write(address, value)
-                commit._digest_writes(writes)
+                commit.image.digest_writes(writes)
             model.update(writes)
             unreplicated.extend(writes)
             if replicated:
@@ -561,7 +598,7 @@ def test_digest_table_tracks_a_flip_free_model(prologue, steps):
             stale = {n for n in differs if copy.get(n, {}) != expected.get(n, {})}
             flagged.clear()
             unrepairable = system.stats.ft_corruptions_unrepairable
-            assert commit.scrub_once() == len(differs)
+            assert commit.image.scrub_once() == len(differs)
             assert sorted(flagged) == sorted(differs)
             actual = page_contents(master)
             assert {n for n in expected.keys() | actual.keys()
@@ -569,7 +606,7 @@ def test_digest_table_tracks_a_flip_free_model(prologue, steps):
             assert (system.stats.ft_corruptions_unrepairable
                     == unrepairable + len(stale))
         pages = model_pages(model)
-        assert commit._page_digests == {
+        assert commit.image._page_digests == {
             number: page_digest(Page(number, words))
             for number, words in pages.items()
         }
@@ -696,6 +733,15 @@ def test_integrity_off_runs_no_integrity_code():
     assert result.stats.committed_mtxs == 48
     assert entered == set()
 
+    # The same holds for an FT speculative_for job with a standby.
+    def specfor_job():
+        system, _ = build_specfor(integrity=False)
+        return system.run()
+
+    result, entered = calls_into(integrity, specfor_job)
+    assert result.stats.committed_mtxs == ITERATIONS
+    assert entered == set()
+
 
 def test_replication_off_runs_no_standby_code():
     # The exact form of "commit replication costs nothing when off"
@@ -719,6 +765,17 @@ def test_replication_off_runs_no_standby_code():
 
     result, entered = calls_into(standby, job)
     assert result.stats.committed_mtxs == 48
+    assert result.stats.ft_scrub_rounds > 0
+    assert entered == set()
+
+    # The same holds for an FT speculative_for job, whose scrubber
+    # sweeps the reservation service's master.
+    def specfor_job():
+        system, _ = build_specfor(commit_replication=False, scrub_interval_s=1e-4)
+        return system.run()
+
+    result, entered = calls_into(standby, specfor_job)
+    assert result.stats.committed_mtxs == ITERATIONS
     assert result.stats.ft_scrub_rounds > 0
     assert entered == set()
 

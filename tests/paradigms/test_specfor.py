@@ -309,6 +309,16 @@ def test_system_rejects_bad_configurations():
         parse_plan("DOACROSS+[S,DOALL]")
 
 
+def test_system_rejects_coa_replicas():
+    # COA read replicas are DSMTX units: a speculative_for run would
+    # neither build nor use them, so asking for them is an error, as
+    # the campaign schema already says for scheme 'specfor'.
+    with pytest.raises(ConfigurationError,
+                       match="COA read replicas belong to the DSMTX runtime"):
+        SpecForSystem(SpanningForest(iterations=16, density=0.7),
+                      SystemConfig(total_cores=8, coa_replicas=2), workers=4)
+
+
 # -- helpers ------------------------------------------------------------------------
 
 
